@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "core/egress.hpp"
@@ -45,6 +44,21 @@ class SearchSpan {
   std::chrono::steady_clock::time_point t0_;
 };
 
+/// The drop-partition slot for an engine discard.
+constexpr obs::DropReason drop_reason(sw::DiscardReason r) noexcept {
+  switch (r) {
+    case sw::DiscardReason::kMiss:
+      return obs::DropReason::kInfoBaseMiss;
+    case sw::DiscardReason::kTtlExpired:
+      return obs::DropReason::kTtlExpired;
+    case sw::DiscardReason::kInconsistent:
+      return obs::DropReason::kInconsistent;
+    case sw::DiscardReason::kNone:
+      break;
+  }
+  return obs::DropReason::kOther;
+}
+
 }  // namespace
 
 EmbeddedRouter::EmbeddedRouter(std::string name,
@@ -58,8 +72,7 @@ EmbeddedRouter::EmbeddedRouter(std::string name,
   assert(engine_ != nullptr);
   // The cache only arms for engines whose lookups are pure functions of
   // the information base: the RTL-backed engines mutate hardware state
-  // per packet and the sharded engine's makespan model depends on every
-  // packet reaching its shard, so both must see the full stream.
+  // per packet, so they must see the full stream.
   if (config_.flow_cache_entries > 0 && engine_->cacheable()) {
     flow_cache_.resize(config_.flow_cache_entries);
   }
@@ -79,8 +92,8 @@ void EmbeddedRouter::set_guard(const net::GuardConfig& config) {
 
 std::size_t EmbeddedRouter::cache_slot(unsigned level,
                                        rtl::u32 key) const noexcept {
-  // mix64 over (level, key) — same spreading hash the sharded engine
-  // uses, so adjacent labels do not collide in lockstep.
+  // mix64 over (level, key), so adjacent labels do not collide in
+  // lockstep.
   return static_cast<std::size_t>(net::mix64_pair(level, key) %
                                   flow_cache_.size());
 }
@@ -183,9 +196,6 @@ void EmbeddedRouter::export_metrics(obs::MetricsRegistry& metrics) const {
   set("empls_router_engine_cycles_total", stats_.engine_cycles,
       "modelled hardware cycles consumed by the label engine");
   set("empls_router_engine_overruns_total", stats_.engine_overruns);
-  set("empls_router_engine_batches_total", stats_.engine_batches);
-  set("empls_router_engine_batched_packets_total",
-      stats_.engine_batched_packets);
   set("empls_router_policer_drops_total", stats_.policer_drops);
   set("empls_router_policer_demotions_total", stats_.policer_demotions);
   if (guard_) {
@@ -228,7 +238,7 @@ void EmbeddedRouter::receive(net::PacketHandle packet,
   if (config_.validate_wire &&
       !IngressProcessor::wire_round_trip_ok(*packet)) {
     ++stats_.malformed;
-    network()->notify_discard(id(), *packet, "malformed");
+    network()->notify_discard(id(), *packet, obs::DropReason::kMalformed);
     return;
   }
   const auto cls = IngressProcessor::classify(*packet);
@@ -266,7 +276,7 @@ void EmbeddedRouter::receive(net::PacketHandle packet,
             guard_->screen(cls.labeled, cls.key, will_expire, external,
                            binding_known, network()->now())) {
       ++stats_.guard_drops;
-      network()->notify_discard(id(), *packet, obs::to_string(*refusal));
+      network()->notify_discard(id(), *packet, *refusal);
       return;
     }
   }
@@ -281,7 +291,7 @@ void EmbeddedRouter::receive(net::PacketHandle packet,
                                          network()->now())) {
       if (policer->second.first.action == net::PolicerAction::kDrop) {
         ++stats_.policer_drops;
-        network()->notify_discard(id(), *packet, "policer");
+        network()->notify_discard(id(), *packet, obs::DropReason::kPolicer);
         return;
       }
       ++stats_.policer_demotions;
@@ -298,7 +308,8 @@ void EmbeddedRouter::receive(net::PacketHandle packet,
   if (engine_busy_) {
     if (engine_queue_.size() >= config_.engine_queue_capacity) {
       ++stats_.engine_overruns;
-      network()->notify_discard(id(), *work.packet, "engine-overrun");
+      network()->notify_discard(id(), *work.packet,
+                                obs::DropReason::kEngineOverrun);
       return;
     }
     // Graceful degradation: between the guard's occupancy bands and the
@@ -314,7 +325,8 @@ void EmbeddedRouter::receive(net::PacketHandle packet,
         case net::IngressGuard::LoadAction::kShed:
           guard_->count_shed();
           ++stats_.guard_drops;
-          network()->notify_discard(id(), *work.packet, "overload-shed");
+          network()->notify_discard(id(), *work.packet,
+                                    obs::DropReason::kOverloadShed);
           return;
         case net::IngressGuard::LoadAction::kDemote:
           // Labeled transit keeps its marking (the shim's CoS is not
@@ -342,23 +354,9 @@ void EmbeddedRouter::engine_done() {
     engine_busy_ = false;
     return;
   }
-  const std::size_t batch_limit =
-      std::max<std::size_t>(config_.engine_batch_size, 1);
-  const std::size_t take = std::min(batch_limit, engine_queue_.size());
-  if (take <= 1) {
-    Pending next = std::move(engine_queue_.front());
-    engine_queue_.pop_front();
-    process(std::move(next));
-    return;
-  }
-  // A backlog formed while the engine was busy: drain it as one batch.
-  std::vector<Pending> batch;
-  batch.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    batch.push_back(std::move(engine_queue_.front()));
-    engine_queue_.pop_front();
-  }
-  process_batch(std::move(batch));
+  Pending next = std::move(engine_queue_.front());
+  engine_queue_.pop_front();
+  process(std::move(next));
 }
 
 void EmbeddedRouter::process(Pending work) {
@@ -396,12 +394,11 @@ void EmbeddedRouter::process(Pending work) {
   // exhaustion attack spraying fresh destinations reprograms the
   // information base (and invalidates every cached epoch) only at the
   // configured rate; refused packets are stamped with their own reason.
-  std::string_view reason_override;
+  std::optional<obs::DropReason> reason_override;
   if (outcome.discarded && outcome.reason == sw::DiscardReason::kMiss &&
       !cls.labeled && config_.type == hw::RouterType::kLer) {
     if (guard_ && !guard_->admit_reprogram(net->now())) {
-      reason_override =
-          obs::to_string(obs::DropReason::kReprogramRateLimited);
+      reason_override = obs::DropReason::kReprogramRateLimited;
     } else if (routing_.slow_path_install(cls.key)) {
       ++stats_.slow_path_retries;
       {
@@ -455,172 +452,12 @@ void EmbeddedRouter::process(Pending work) {
   }
 }
 
-void EmbeddedRouter::process_batch(std::vector<Pending> work) {
-  net::Network* net = network();
-  const double now = net->now();
-  const std::size_t n = work.size();
-
-  std::vector<IngressProcessor::Classification> cls(n);
-  std::vector<mpls::Packet*> packets(n);
-  std::vector<mpls::Packet> befores(tap_ ? n : 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double wait = now - work[i].enqueued_at;
-    stats_.engine_wait_time += wait;
-    if (hist_engine_wait_ns_ != nullptr) {
-      hist_engine_wait_ns_->record(static_cast<std::uint64_t>(wait * 1e9));
-    }
-    cls[i] = work[i].cls;
-    packets[i] = work[i].packet.get();
-    if (tap_) {
-      befores[i] = *work[i].packet;
-    }
-  }
-
-  // Flow cache first: hits replay their cached binding inline; only the
-  // misses enter the engine as a (smaller) batch.  Cycle accounting
-  // composes back to exactly the uncached batch: for a single-datapath
-  // engine the uncached makespan is the per-packet sum, and a hit
-  // contributes the identical hw_cycles it would have cost in that sum.
-  const bool tracing = tracer_ != nullptr && tracer_->enabled();
-  std::vector<sw::UpdateOutcome> outcomes(n);
-  std::vector<std::uint8_t> was_cached(tracing ? n : 0);
-  std::vector<std::size_t> miss_idx;
-  miss_idx.reserve(n);
-  rtl::u64 hit_cycles = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const CacheEntry* cached =
-        flow_cache_.empty() ? nullptr
-                            : cache_probe(cls[i].level, cls[i].key);
-    if (cached) {
-      outcomes[i] = cached_update(*packets[i], *cached);
-      hit_cycles += outcomes[i].hw_cycles;
-      if (tracing) {
-        was_cached[i] = 1;
-      }
-    } else {
-      miss_idx.push_back(i);
-    }
-  }
-  rtl::u64 miss_makespan = 0;
-  if (!miss_idx.empty()) {
-    std::vector<mpls::Packet*> miss_packets;
-    miss_packets.reserve(miss_idx.size());
-    for (const std::size_t i : miss_idx) {
-      miss_packets.push_back(packets[i]);
-    }
-    auto miss_outcomes = [&] {
-      SearchSpan span;
-      return engine_->update_batch(miss_packets, config_.type);
-    }();
-    miss_makespan = engine_->last_batch_makespan_cycles();
-    ++stats_.engine_batches;
-    stats_.engine_batched_packets += miss_idx.size();
-    for (std::size_t j = 0; j < miss_idx.size(); ++j) {
-      outcomes[miss_idx[j]] = miss_outcomes[j];
-    }
-  }
-  for (const auto& outcome : outcomes) {
-    stats_.engine_cycles += outcome.hw_cycles;
-    if (hist_lookup_cycles_ != nullptr) {
-      hist_lookup_cycles_->record(outcome.hw_cycles);
-    }
-  }
-
-  // The batch holds the engine for its makespan: the slowest shard for
-  // a parallel engine, the per-packet sum for a single datapath (cache
-  // hits fold their — identical — cycles back into that sum).  Pure
-  // software planes are charged per packet over the FULL batch, divided
-  // by the engine's parallelism, so timing matches the uncached run.
-  const rtl::u64 total_cycles = miss_makespan + hit_cycles;
-  double latency;
-  if (total_cycles > 0) {
-    latency = clock_.seconds(total_cycles);
-  } else {
-    const double par = std::max(1u, engine_->parallelism());
-    latency = config_.sw_update_latency_s *
-              std::ceil(static_cast<double>(n) / par);
-  }
-
-  // Slow-path retries stay per packet (they are rare and reprogram the
-  // information base, which quiesces a sharded engine anyway).  As in
-  // process(), the guard's reprogram admission gates each install.
-  std::vector<std::uint8_t> reprogram_refused(guard_ ? n : 0, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(outcomes[i].discarded &&
-          outcomes[i].reason == sw::DiscardReason::kMiss &&
-          !cls[i].labeled && config_.type == hw::RouterType::kLer)) {
-      continue;
-    }
-    if (guard_ && !guard_->admit_reprogram(now)) {
-      reprogram_refused[i] = 1;
-      continue;
-    }
-    if (routing_.slow_path_install(cls[i].key)) {
-      ++stats_.slow_path_retries;
-      {
-        SearchSpan span;
-        outcomes[i] = engine_->update(*work[i].packet, cls[i].level,
-                                      config_.type);
-      }
-      latency += outcomes[i].hw_cycles > 0
-                     ? clock_.seconds(outcomes[i].hw_cycles)
-                     : config_.sw_update_latency_s;
-      stats_.engine_cycles += outcomes[i].hw_cycles;
-    }
-  }
-  for (const std::size_t i : miss_idx) {
-    cache_fill(cls[i].level, cls[i].key);
-  }
-
-  if (tracing) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t tid = tracer_->id_of(packets[i]);
-      const double wait = now - work[i].enqueued_at;
-      if (wait > 0.0) {
-        tracer_->record(tid, obs::SpanKind::kEngineWait, id(),
-                        work[i].enqueued_at, wait);
-      }
-      std::uint8_t flags = 0;
-      if (!(outcomes[i].discarded &&
-            outcomes[i].reason == sw::DiscardReason::kMiss)) {
-        flags |= obs::kSpanHit;
-      }
-      if (was_cached[i] != 0) {
-        flags |= obs::kSpanCached;
-      }
-      tracer_->record(tid, obs::SpanKind::kEngineSearch, id(), now, latency,
-                      static_cast<std::uint16_t>(cls[i].level),
-                      static_cast<std::uint32_t>(outcomes[i].hw_cycles),
-                      flags);
-    }
-    // One occupancy span for the whole batch; renders as shard-handoff
-    // when the engine is actually parallel.
-    tracer_->record(0, obs::SpanKind::kEngineBatch, id(), now, latency,
-                    static_cast<std::uint16_t>(
-                        std::max(1u, engine_->parallelism())),
-                    static_cast<std::uint32_t>(n));
-  }
-
-  if (config_.serialize_engine) {
-    net->events().schedule_in(latency, [this] { engine_done(); });
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    launch(std::move(work[i]), cls[i],
-           tap_ ? befores[i] : mpls::Packet(), outcomes[i], latency,
-           /*fuse_engine_done=*/false,  // one engine_done serves the batch
-           !reprogram_refused.empty() && reprogram_refused[i] != 0
-               ? obs::to_string(obs::DropReason::kReprogramRateLimited)
-               : std::string_view{});
-  }
-}
-
 bool EmbeddedRouter::launch(Pending work,
                             const IngressProcessor::Classification& cls,
                             const mpls::Packet& before,
                             const sw::UpdateOutcome& outcome,
                             double latency, bool fuse_engine_done,
-                            std::string_view discard_reason_override) {
+                            std::optional<obs::DropReason> reason_override) {
   net::Network* net = network();
   net::PacketHandle packet = std::move(work.packet);
 
@@ -630,9 +467,7 @@ bool EmbeddedRouter::launch(Pending work,
   if (outcome.discarded) {
     ++stats_.discarded;
     net->notify_discard(id(), *packet,
-                        discard_reason_override.empty()
-                            ? sw::to_string(outcome.reason)
-                            : discard_reason_override);
+                        reason_override.value_or(drop_reason(outcome.reason)));
     return false;
   }
   count_op(outcome.applied);
@@ -641,7 +476,7 @@ bool EmbeddedRouter::launch(Pending work,
   const auto port = routing_.out_port(cls.level, cls.key);
   if (!port) {
     ++stats_.discarded;  // control plane never told us where this goes
-    net->notify_discard(id(), *packet, "no-next-hop");
+    net->notify_discard(id(), *packet, obs::DropReason::kNoRoute);
     return false;
   }
 

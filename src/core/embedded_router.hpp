@@ -33,6 +33,7 @@
 #include "net/node.hpp"
 #include "net/policer.hpp"
 #include "net/stats.hpp"
+#include "obs/drop_reason.hpp"
 #include "rtl/clock_model.hpp"
 #include "sw/engine.hpp"
 
@@ -62,11 +63,6 @@ struct RouterConfig {
   /// Packets waiting for the engine beyond this bound are dropped
   /// (input-queue overrun — the router is saturated).
   std::size_t engine_queue_capacity = 256;
-  /// When > 1 and a backlog has formed, up to this many queued packets
-  /// enter the engine together via LabelEngine::update_batch; the
-  /// engine is then busy for the batch's modelled makespan (parallel
-  /// shards overlap), not the per-packet sum.  1 = per-packet service.
-  std::size_t engine_batch_size = 1;
   /// Direct-mapped flow cache: resolved (level, key) → label-pair
   /// bindings bypass the engine's search on repeat packets.  Entries
   /// carry the engine epoch at fill time and go stale the moment the
@@ -75,7 +71,7 @@ struct RouterConfig {
   /// outcomes are always bit-identical to the uncached path — including
   /// the modelled Table 6 cycles, recomposed from the cached search
   /// cost.  0 = off.  Ignored (with a stat-visible fallback to off) for
-  /// engines that must see every packet (hw, pipeline, sharded).
+  /// the RTL-backed engines, which must see every packet (hw, pipeline).
   std::size_t flow_cache_entries = 0;
   /// Ingress guard (overload survival): reserved/spoofed-label
   /// screening, TTL-expiry and reprogram rate limits, and graceful
@@ -145,8 +141,6 @@ class EmbeddedRouter : public net::Node {
     std::uint64_t engine_overruns = 0; // dropped: engine queue full
     std::size_t engine_queue_peak = 0; // deepest engine backlog seen
     double engine_wait_time = 0.0;     // total seconds spent queued
-    std::uint64_t engine_batches = 0;  // update_batch invocations
-    std::uint64_t engine_batched_packets = 0;  // packets served in batches
     std::uint64_t policer_drops = 0;
     std::uint64_t policer_demotions = 0;
     /// Ingress-guard refusals in total (per-cause split in GuardStats).
@@ -177,22 +171,20 @@ class EmbeddedRouter : public net::Node {
   void count_op(mpls::LabelOp op);
   /// Run the label engine on one packet and launch the result.
   void process(Pending work);
-  /// Run the label engine on a backlog batch and launch every result.
-  void process_batch(std::vector<Pending> work);
-  /// Post-engine half shared by both paths: tap, discard accounting,
-  /// next-hop resolution, egress finalisation, and the delayed launch.
-  /// When `fuse_engine_done` is set and a launch event is scheduled, the
+  /// Post-engine half of process(): tap, discard accounting, next-hop
+  /// resolution, egress finalisation, and the delayed launch.  When
+  /// `fuse_engine_done` is set and a launch event is scheduled, the
   /// engine-idle transition rides inside it (one event, not two);
   /// returns whether it did, so process() can fall back to a separate
   /// event on the discard paths.
-  /// `discard_reason_override`, when non-empty, replaces the engine's
-  /// discard reason string (the guard's reprogram-admission refusal
-  /// re-stamps a lookup miss as kReprogramRateLimited).
+  /// `reason_override`, when set, replaces the engine's discard reason
+  /// (the guard's reprogram-admission refusal re-stamps a lookup miss as
+  /// kReprogramRateLimited).
   bool launch(Pending work, const IngressProcessor::Classification& cls,
               const mpls::Packet& before, const sw::UpdateOutcome& outcome,
               double latency, bool fuse_engine_done,
-              std::string_view discard_reason_override = {});
-  /// Start the next queued packet or batch, if any (engine went idle).
+              std::optional<obs::DropReason> reason_override);
+  /// Start the next queued packet, if any (engine went idle).
   void engine_done();
 
   /// One direct-mapped flow-cache line.  `search_cycles` is the

@@ -21,40 +21,24 @@
 #include "sw/hash_engine.hpp"
 #include "sw/hw_engine.hpp"
 #include "sw/linear_engine.hpp"
-#include "sw/sharded_engine.hpp"
-#include "sw/simd_engine.hpp"
 #include "sw/trie_engine.hpp"
 
 namespace empls::core {
 
 namespace {
 
-std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
-  if (kind == "hash") {
-    return std::make_unique<sw::HashEngine>();
-  }
-  if (kind == "cam") {
-    return std::make_unique<sw::CamEngine>();
-  }
-  if (kind == "simd") {
-    return std::make_unique<sw::SimdEngine>();
-  }
-  if (kind == "trie") {
-    return std::make_unique<sw::TrieEngine>();
-  }
-  if (kind == "hw") {
-    return std::make_unique<sw::HwEngine>();
-  }
-  if (kind.rfind("sharded:", 0) == 0) {
-    // The parser validated the count; std::stoul on the suffix is safe
-    // and stops at the optional replica-kind colon (sharded:<N>:trie).
-    const auto shards = static_cast<unsigned>(std::stoul(kind.substr(8)));
-    if (kind.find(":trie", 8) != std::string::npos) {
-      return std::make_unique<sw::ShardedEngine>(shards, [] {
-        return std::make_unique<sw::TrieEngine>();
-      });
-    }
-    return std::make_unique<sw::ShardedEngine>(shards);
+std::unique_ptr<sw::LabelEngine> make_engine(net::EngineKind kind) {
+  switch (kind) {
+    case net::EngineKind::kLinear:
+      break;
+    case net::EngineKind::kHash:
+      return std::make_unique<sw::HashEngine>();
+    case net::EngineKind::kCam:
+      return std::make_unique<sw::CamEngine>();
+    case net::EngineKind::kTrie:
+      return std::make_unique<sw::TrieEngine>();
+    case net::EngineKind::kHw:
+      return std::make_unique<sw::HwEngine>();
   }
   return std::make_unique<sw::LinearEngine>();
 }
@@ -166,10 +150,6 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
     cfg.clock_hz = decl.clock_hz;
     cfg.label_base = label_base;
     label_base += 1000;
-    // Batch size: explicit `batch=K` wins; a sharded engine defaults to
-    // batching (its parallelism is wasted on per-packet service).
-    const bool sharded = decl.engine.rfind("sharded:", 0) == 0;
-    cfg.engine_batch_size = decl.batch > 0 ? decl.batch : (sharded ? 16 : 1);
     cfg.flow_cache_entries = decl.cache;
     auto router = std::make_unique<EmbeddedRouter>(
         decl.name, make_engine(decl.engine), cfg);

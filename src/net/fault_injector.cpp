@@ -187,18 +187,18 @@ std::string FaultInjector::summary() const {
 
 DropAccountant::DropAccountant(Network& net) {
   net.add_discard_handler(
-      [this](NodeId, const mpls::Packet& p, std::string_view reason) {
+      [this](NodeId, const mpls::Packet& p, obs::DropReason reason) {
         account(p.flow_id, reason);
       });
-  net.add_link_drop_handler(
-      [this](const mpls::Packet& p, std::string_view reason) {
-        account(p.flow_id, reason);
-      });
+  net.add_link_drop_handler([this](const mpls::Packet& p,
+                                   obs::DropReason reason) {
+    account(p.flow_id, reason);
+  });
 }
 
-void DropAccountant::account(std::uint32_t flow_id, std::string_view reason) {
+void DropAccountant::account(std::uint32_t flow_id, obs::DropReason reason) {
   ++by_flow_[flow_id];
-  ++reasons_[static_cast<std::size_t>(obs::drop_reason_from_string(reason))];
+  ++reasons_[static_cast<std::size_t>(reason)];
   ++total_;
 }
 

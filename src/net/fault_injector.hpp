@@ -117,9 +117,7 @@ class DropAccountant {
 
   [[nodiscard]] std::uint64_t drops(std::uint32_t flow_id) const;
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  /// Per-reason totals indexed by obs::DropReason (the accounting path
-  /// maps the reason string to its enum once per drop — no string
-  /// allocation, no map).
+  /// Per-reason totals indexed by obs::DropReason.
   [[nodiscard]] const obs::DropCounts& reason_counts() const noexcept {
     return reasons_;
   }
@@ -143,7 +141,7 @@ class DropAccountant {
   [[nodiscard]] bool conserved(const FlowStats& stats) const;
 
  private:
-  void account(std::uint32_t flow_id, std::string_view reason);
+  void account(std::uint32_t flow_id, obs::DropReason reason);
 
   FlatCounts by_flow_;
   obs::DropCounts reasons_{};

@@ -10,20 +10,18 @@
 
 namespace empls::net {
 
-namespace {
-
-// Drop span + journey termination for packets this link discards.
-void trace_drop(obs::HopTracer* tracer, std::uint32_t link_id,
-                const mpls::Packet* p, SimTime now, obs::DropReason reason) {
-  if (tracer == nullptr || !tracer->enabled()) {
-    return;
+void Link::drop(const mpls::Packet& packet, obs::DropReason reason) {
+  if (drop_hook_) {
+    drop_hook_(packet, reason);
   }
-  tracer->record(tracer->id_of(p), obs::SpanKind::kDrop, link_id, now, 0.0,
-                 static_cast<std::uint16_t>(reason), 0, obs::kSpanOnLink);
-  tracer->end(p);
+  // Drop span + journey termination.
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    tracer_->record(tracer_->id_of(&packet), obs::SpanKind::kDrop, link_id_,
+                    events_->now(), 0.0, static_cast<std::uint16_t>(reason),
+                    0, obs::kSpanOnLink);
+    tracer_->end(&packet);
+  }
 }
-
-}  // namespace
 
 Link::Link(EventQueue& events, Node* dst, mpls::InterfaceId dst_in_if,
            double bandwidth_bps, SimTime prop_delay_s, QosConfig qos)
@@ -40,11 +38,7 @@ Link::Link(EventQueue& events, Node* dst, mpls::InterfaceId dst_in_if,
 void Link::transmit(PacketHandle packet) {
   if (!up_) {
     ++stats_.failed_drops;
-    if (drop_hook_) {
-      drop_hook_(*packet, "link-down");
-    }
-    trace_drop(tracer_, link_id_, packet.get(), events_->now(),
-               obs::DropReason::kLinkDown);
+    drop(*packet, obs::DropReason::kLinkDown);
     return;
   }
   if (!legacy_copy_) {
@@ -55,11 +49,7 @@ void Link::transmit(PacketHandle packet) {
     if (!drain_pending_ && queue_.empty() &&
         events_->now() >= busy_until_) {
       if (!queue_.admit_cut_through(*packet)) {
-        if (drop_hook_) {
-          drop_hook_(*packet, "queue-full");
-        }
-        trace_drop(tracer_, link_id_, packet.get(), events_->now(),
-                   obs::DropReason::kQueueOverflow);
+        drop(*packet, obs::DropReason::kQueueOverflow);
         return;
       }
       begin_tx(std::move(packet));
@@ -69,11 +59,7 @@ void Link::transmit(PacketHandle packet) {
       tracer_->mark(packet.get(), events_->now());
     }
     if (!queue_.enqueue(std::move(packet))) {
-      if (drop_hook_) {
-        drop_hook_(*packet, "queue-full");
-      }
-      trace_drop(tracer_, link_id_, packet.get(), events_->now(),
-                 obs::DropReason::kQueueOverflow);
+      drop(*packet, obs::DropReason::kQueueOverflow);
       return;
     }
     if (!drain_pending_) {
@@ -86,11 +72,7 @@ void Link::transmit(PacketHandle packet) {
   // Legacy baseline.  enqueue leaves the handle intact on refusal, so
   // drop attribution reads the original packet — no defensive copy.
   if (!queue_.enqueue(std::move(packet))) {
-    if (drop_hook_) {
-      drop_hook_(*packet, "queue-full");
-    }
-    trace_drop(tracer_, link_id_, packet.get(), events_->now(),
-               obs::DropReason::kQueueOverflow);
+    drop(*packet, obs::DropReason::kQueueOverflow);
     return;
   }
   if (!busy_) {

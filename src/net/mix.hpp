@@ -2,8 +2,8 @@
 //
 // Several hot paths need a cheap full-avalanche hash over small integer
 // keys: FlatCounts and the trie engine's open-addressing tables spread
-// sequential flow ids / labels away from one probe chain, the sharded
-// engine and the flow cache spread (level, key) pairs across slots, and
+// sequential flow ids / labels away from one probe chain, the flow
+// cache spreads (level, key) pairs across slots, and
 // the hop tracer mixes slab addresses whose low bits share the slot
 // stride.  They all use the same two finalizers; this header is the one
 // definition (previously copied into each file).
@@ -46,9 +46,8 @@ namespace empls::net {
 /// finalizer never sees the 0 → 0 fixed point: mix64(x + kGoldenGamma).
 constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
 
-/// splitmix64 finalizer over a (level, key) pair — the spreading hash
-/// the sharded engine and the flow cache share, so their placements
-/// stay in documented lockstep.
+/// splitmix64 finalizer over a (level, key) pair — the flow cache's
+/// slot hash.
 [[nodiscard]] constexpr std::uint64_t mix64_pair(std::uint32_t level,
                                                  std::uint32_t key) noexcept {
   return mix64((std::uint64_t{level} << 32) | std::uint64_t{key});

@@ -367,32 +367,11 @@ std::variant<Scenario, ScenarioError> Scenario::parse(std::string_view text) {
           return error("bad router option: " + tokens[i]);
         }
         if (opt->first == "engine") {
-          if (opt->second.rfind("sharded:", 0) == 0) {
-            // sharded:<N> with an optional replica kind suffix:
-            // sharded:<N>:simd (the default) or sharded:<N>:trie.
-            std::string spec = opt->second.substr(8);
-            std::string replica = "simd";
-            if (const auto colon = spec.find(':');
-                colon != std::string::npos) {
-              replica = spec.substr(colon + 1);
-              spec.resize(colon);
-            }
-            const auto n = parse_number(spec);
-            if (!n || *n < 1 || *n > 64 ||
-                *n != static_cast<double>(static_cast<unsigned>(*n))) {
-              return error("sharded engine needs sharded:<1..64>, got " +
-                           opt->second);
-            }
-            if (replica != "simd" && replica != "trie") {
-              return error("sharded replica must be simd or trie, got " +
-                           opt->second);
-            }
-          } else if (opt->second != "linear" && opt->second != "hash" &&
-                     opt->second != "cam" && opt->second != "simd" &&
-                     opt->second != "trie" && opt->second != "hw") {
+          const auto kind = parse_engine_kind(opt->second);
+          if (!kind) {
             return error("unknown engine: " + opt->second);
           }
-          r.engine = opt->second;
+          r.engine = *kind;
         } else if (opt->first == "cache") {
           if (opt->second == "off") {
             r.cache = 0;
@@ -405,12 +384,6 @@ std::variant<Scenario, ScenarioError> Scenario::parse(std::string_view text) {
             }
             r.cache = static_cast<std::size_t>(*v);
           }
-        } else if (opt->first == "batch") {
-          const auto v = parse_number(opt->second);
-          if (!v || *v < 1 || *v > 4096) {
-            return error("bad batch size: " + opt->second);
-          }
-          r.batch = static_cast<std::size_t>(*v);
         } else if (opt->first == "clock") {
           const auto v = parse_bandwidth(opt->second);  // same suffixes
           if (!v) {

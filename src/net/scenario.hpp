@@ -8,9 +8,8 @@
 //   scheduler heap|calendar       # event-queue backend (also scheduler=..)
 //   domains <N>|auto              # event domains, 1 = off (also domains=..)
 //   sync deterministic|free       # domain sync mode (also sync=..)
-//   router <name> ler|lsr [engine=linear|hash|cam|simd|trie|hw
-//          |sharded:<N>[:simd|:trie]]
-//          [clock=50M] [batch=K] [cache=<entries>|off]
+//   router <name> ler|lsr [engine=linear|hash|cam|trie|hw]
+//          [clock=50M] [cache=<entries>|off]
 //   link <a> <b> <bandwidth> <delay>          # e.g. link A B 100M 1ms
 //   lsp <prefix> <n1> <n2> ... [bw=2M] [php] [merge]
 //   lsp-cspf <prefix> <ingress> <egress> [bw=2M]
@@ -62,10 +61,12 @@
 // core/scenario_runner.hpp (the runner needs the router classes).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -85,17 +86,28 @@ struct ScenarioError {
   std::string message;
 };
 
+/// The label engines a router may name (`engine=<kind>`).  The parser
+/// accepts exactly the names in kEngineKindNames, and the runner's
+/// engine factory switches over this enum, so the two cannot drift.
+enum class EngineKind : std::uint8_t { kLinear, kHash, kCam, kTrie, kHw };
+inline constexpr std::array<std::string_view, 5> kEngineKindNames{
+    "linear", "hash", "cam", "trie", "hw"};
+
+[[nodiscard]] constexpr std::optional<EngineKind> parse_engine_kind(
+    std::string_view name) noexcept {
+  for (std::size_t i = 0; i < kEngineKindNames.size(); ++i) {
+    if (name == kEngineKindNames[i]) {
+      return static_cast<EngineKind>(i);
+    }
+  }
+  return std::nullopt;
+}
+
 struct RouterDecl {
   std::string name;
   bool is_ler = false;
-  /// linear | hash | cam | simd | trie | hw | sharded:<N> (N parallel
-  /// worker shards over simd replicas; sharded:<N>:trie for trie
-  /// replicas, sharded:<N>:simd spells the default explicitly).
-  std::string engine = "linear";
+  EngineKind engine = EngineKind::kLinear;
   double clock_hz = 50e6;
-  /// Engine batch size (`batch=K`); 0 = engine default (16 for sharded
-  /// engines, per-packet service otherwise).
-  std::size_t batch = 0;
   /// Flow-cache entries (`cache=<entries>`, `cache=off` → 0 = off).
   std::size_t cache = 0;
 };

@@ -19,8 +19,6 @@ std::string_view to_string(SpanKind k) noexcept {
       return "engine-wait";
     case SpanKind::kEngineSearch:
       return "engine-search";
-    case SpanKind::kEngineBatch:
-      return "engine-batch";
     case SpanKind::kLinkQueue:
       return "link-queue";
     case SpanKind::kLinkTransit:
@@ -382,12 +380,8 @@ void HopTracer::write_chrome_trace(
     first = false;
     const bool on_link = (r.flags & kSpanOnLink) != 0;
     const int pid = on_link ? 2 : 1;
-    std::string_view name = to_string(r.kind);
-    if (r.kind == SpanKind::kEngineBatch && r.a > 1) {
-      name = "shard-handoff";
-    }
     out << "{\"name\":";
-    write_json_string(out, name);
+    write_json_string(out, to_string(r.kind));
     out << R"(,"cat":"empls")";
     if (r.kind == SpanKind::kJourney) {
       out << R"(,"ph":"i","s":"t")";
@@ -435,10 +429,6 @@ void HopTracer::write_chrome_trace(
         arg_u64("cycles", r.b);
         arg_u64("hit", (r.flags & kSpanHit) != 0 ? 1 : 0);
         arg_u64("cached", (r.flags & kSpanCached) != 0 ? 1 : 0);
-        break;
-      case SpanKind::kEngineBatch:
-        arg_u64("parallelism", r.a);
-        arg_u64("packets", r.b);
         break;
       case SpanKind::kLinkTransit:
         arg_u64("bytes", r.b);

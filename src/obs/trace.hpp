@@ -31,7 +31,6 @@ enum class SpanKind : std::uint8_t {
   kIngress,       // ingress parse + classification (a = level, b = key)
   kEngineWait,    // time spent queued for the label engine
   kEngineSearch,  // engine search/update (a = level, b = hw cycles)
-  kEngineBatch,   // batch / shard handoff (a = parallelism, b = packets)
   kLinkQueue,     // time spent in a link's CoS queues
   kLinkTransit,   // serialisation + propagation (b = bytes)
   kDeliver,       // packet left the MPLS domain at this node

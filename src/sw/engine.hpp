@@ -5,12 +5,19 @@
 // existing MPLS solutions are entirely software based".  This interface
 // lets the benches and the network simulator swap engines freely:
 //
-//   * HwEngine     — adapter over the RTL label stack modifier
-//   * LinearEngine — software mirror of the hardware algorithm (also the
-//                    golden model for differential tests)
-//   * HashEngine   — modern hash-map software router
-//   * CamEngine    — ablation: hardware with a content-addressable
-//                    information base (parallel compare, constant-time)
+//   * LinearEngine   — software mirror of the hardware algorithm (also
+//                      the golden model for differential tests)
+//   * HwEngine       — adapter over the RTL label stack modifier
+//   * PipelineEngine — the full RTL packet pipeline (DMA + stack
+//                      transfer + modifier), cycle-counted end to end
+//   * TrieEngine     — the production FIB: patricia trie + label tables,
+//                      bit-identical to linear up to 1024 pairs/level and
+//                      scaling to millions of entries
+//   * HashEngine     — modern hash-map software router (bench baseline)
+//   * CamEngine      — ablation: hardware with a content-addressable
+//                      information base (parallel compare, constant-time)
+//
+// Every engine is a single datapath: one packet per update() call.
 //
 // update() consumes a Packet, applies the information-base operation to
 // its label stack in place, and reports the outcome plus the modelled
@@ -19,9 +26,7 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "hw/commands.hpp"
 #include "mpls/packet.hpp"
@@ -125,12 +130,10 @@ class LabelEngine {
   }
 
   /// Whether the embedded router may serve this engine's decisions from
-  /// its flow cache.  True for the single-datapath software engines
-  /// whose modelled cost decomposes into search + tail (linear, hash,
-  /// cam, simd).  False for the RTL-backed engines — the cycle-accurate
-  /// model must see every packet — and for the sharded plane, whose
-  /// makespan model (slowest shard) would change if cache hits were
-  /// carved out of its batches.
+  /// its flow cache.  True for the software engines whose modelled cost
+  /// decomposes into search + tail (linear, hash, cam, trie).  False
+  /// for the RTL-backed engines: the cycle-accurate model must see
+  /// every packet.
   [[nodiscard]] virtual bool cacheable() const noexcept { return false; }
 
   /// Full update-stack flow on `packet` (level selection for non-empty
@@ -139,28 +142,10 @@ class LabelEngine {
   virtual UpdateOutcome update(mpls::Packet& packet, unsigned level,
                                hw::RouterType router_type) = 0;
 
-  /// Batched update flow: run every packet through the engine and return
-  /// one outcome per packet, in input order.  Levels are classified per
-  /// packet exactly as the router's ingress does (sw::classify_level),
-  /// so a batch may freely mix stack depths.  The base implementation is
-  /// a correct sequential loop over update(); engines override it to
-  /// amortize per-call costs (HwEngine) or to process shards in parallel
-  /// (ShardedEngine).  Afterwards last_batch_makespan_cycles() reports
-  /// the modelled time the batch occupied the engine.
-  virtual std::vector<UpdateOutcome> update_batch(
-      std::span<mpls::Packet* const> packets, hw::RouterType router_type);
-
-  /// Modelled makespan of the most recent update_batch() in hardware
-  /// cycles: the per-packet sum for single-datapath engines, the
-  /// slowest shard for parallel ones.  0 when the engine has no
-  /// hardware cycle model (pure software, measured by wall clock).
-  [[nodiscard]] rtl::u64 last_batch_makespan_cycles() const noexcept {
-    return last_batch_makespan_;
-  }
-
-  /// Number of packets the engine can process concurrently: 1 for every
-  /// single-datapath engine, the shard count for ShardedEngine.  The
-  /// embedded router divides pure-software batch latency by this.
+  /// Number of packets the engine processes concurrently.  Always 1:
+  /// every engine is a single datapath and nothing in the simulator
+  /// reads this.  It stays virtual only because out-of-tree decorators
+  /// (the benchmark's timing wrapper) forward it to the wrapped engine.
   [[nodiscard]] virtual unsigned parallelism() const noexcept { return 1; }
 
   [[nodiscard]] virtual std::size_t level_size(unsigned level) const = 0;
@@ -179,10 +164,6 @@ class LabelEngine {
                                 rtl::u32 /*new_label*/) {
     return false;
   }
-
-  /// Set by update_batch() implementations; see
-  /// last_batch_makespan_cycles().
-  rtl::u64 last_batch_makespan_ = 0;
 
  private:
   rtl::u64 epoch_ = 0;

@@ -59,19 +59,6 @@ UpdateOutcome HashEngine::update(mpls::Packet& packet, unsigned level,
   return out;
 }
 
-std::vector<UpdateOutcome> HashEngine::update_batch(
-    std::span<mpls::Packet* const> packets, hw::RouterType router_type) {
-  // Statically bound loop; no cycle model to accumulate (pure software).
-  std::vector<UpdateOutcome> outcomes;
-  outcomes.reserve(packets.size());
-  for (mpls::Packet* packet : packets) {
-    outcomes.push_back(
-        HashEngine::update(*packet, classify_level(*packet), router_type));
-  }
-  last_batch_makespan_ = 0;
-  return outcomes;
-}
-
 std::size_t HashEngine::level_size(unsigned level) const {
   return level_ref(level).size();
 }

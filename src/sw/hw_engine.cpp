@@ -70,20 +70,6 @@ UpdateOutcome HwEngine::update(mpls::Packet& packet, unsigned level,
   return out;
 }
 
-std::vector<UpdateOutcome> HwEngine::update_batch(
-    std::span<mpls::Packet* const> packets, hw::RouterType router_type) {
-  std::vector<UpdateOutcome> outcomes;
-  outcomes.reserve(packets.size());
-  rtl::u64 cycles = packets.empty() ? 0 : hw::kResetCycles;  // arm once
-  for (mpls::Packet* packet : packets) {
-    outcomes.push_back(
-        HwEngine::update(*packet, classify_level(*packet), router_type));
-    cycles += outcomes.back().hw_cycles;
-  }
-  last_batch_makespan_ = cycles;
-  return outcomes;
-}
-
 std::size_t HwEngine::level_size(unsigned level) const {
   return static_cast<std::size_t>(hw_.level_count(level));
 }

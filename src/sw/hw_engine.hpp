@@ -27,16 +27,6 @@ class HwEngine : public LabelEngine {
   }
   UpdateOutcome update(mpls::Packet& packet, unsigned level,
                        hw::RouterType router_type) override;
-  /// Batched variant: per-packet behaviour is identical to sequential
-  /// update() calls (the single datapath processes one packet at a
-  /// time), but the batch arms the control FSM once — a standalone
-  /// update() leaves re-arming (kResetCycles of handshake) to the
-  /// surrounding router per packet, while a batch pays it once up
-  /// front and keeps the FSM hot, so the modelled makespan is
-  /// kResetCycles + the per-packet sum.
-  std::vector<UpdateOutcome> update_batch(
-      std::span<mpls::Packet* const> packets,
-      hw::RouterType router_type) override;
   [[nodiscard]] std::size_t level_size(unsigned level) const override;
 
   hw::LabelStackModifier& modifier() noexcept { return hw_; }

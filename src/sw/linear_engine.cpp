@@ -67,23 +67,6 @@ rtl::u64 LinearEngine::last_lookup_cost_cycles() const noexcept {
   return hw::search_cycles(last_examined_);
 }
 
-std::vector<UpdateOutcome> LinearEngine::update_batch(
-    std::span<mpls::Packet* const> packets, hw::RouterType router_type) {
-  // Same semantics as the base loop, but statically bound: the batch
-  // path skips per-packet virtual dispatch, which matters at the packet
-  // rates bench_sharding drives through the software plane.
-  std::vector<UpdateOutcome> outcomes;
-  outcomes.reserve(packets.size());
-  rtl::u64 cycles = 0;
-  for (mpls::Packet* packet : packets) {
-    outcomes.push_back(
-        LinearEngine::update(*packet, classify_level(*packet), router_type));
-    cycles += outcomes.back().hw_cycles;
-  }
-  last_batch_makespan_ = cycles;
-  return outcomes;
-}
-
 std::size_t LinearEngine::level_size(unsigned level) const {
   return level_ref(level).size();
 }

@@ -29,8 +29,7 @@ struct UpdateKey {
 /// `packet`: empty stack → 1 (packet-identifier table); depth-d stack →
 /// min(d+1, 3), since level 1 is reserved for identifiers and the
 /// deepest nestings share level 3 (DESIGN.md §5.6).  This is the level
-/// the embedded router passes to update(), and the one update_batch()
-/// derives per packet.
+/// the embedded router passes to update().
 [[nodiscard]] unsigned classify_level(const mpls::Packet& packet) noexcept;
 
 /// Apply the verify + modify portion of the update flow, given the pair

@@ -1,10 +1,10 @@
 // Bounded lock-free single-producer / single-consumer ring queue — the
-// dispatcher→worker channel of the sharded forwarding plane.
+// boundary handoff channel between event domains (net/domain.hpp).
 //
-// Exactly one thread may call try_push (the dispatcher) and exactly one
-// may call try_pop (the shard's worker).  Capacity is fixed at
-// construction and rounded up to a power of two; a full ring is the
-// backpressure signal (the dispatcher yields until the worker drains).
+// Exactly one thread may call try_push (the producer) and exactly one
+// may call try_pop (the consumer).  Capacity is fixed at construction
+// and rounded up to a power of two; a full ring is the backpressure
+// signal (the producer spills into an overflow buffer).
 // head_ counts pushes, tail_ counts pops; both grow monotonically and
 // are masked into the buffer, so full/empty are distinguishable without
 // a spare slot.

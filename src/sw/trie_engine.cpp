@@ -248,22 +248,6 @@ rtl::u64 TrieEngine::last_lookup_cost_cycles() const noexcept {
   return hw::search_cycles(last_examined_);
 }
 
-std::vector<UpdateOutcome> TrieEngine::update_batch(
-    std::span<mpls::Packet* const> packets, hw::RouterType router_type) {
-  // Statically bound loop, as in LinearEngine: skip the per-packet
-  // virtual dispatch on the batch path.
-  std::vector<UpdateOutcome> outcomes;
-  outcomes.reserve(packets.size());
-  rtl::u64 cycles = 0;
-  for (mpls::Packet* packet : packets) {
-    outcomes.push_back(
-        TrieEngine::update(*packet, classify_level(*packet), router_type));
-    cycles += outcomes.back().hw_cycles;
-  }
-  last_batch_makespan_ = cycles;
-  return outcomes;
-}
-
 std::size_t TrieEngine::level_size(unsigned level) const {
   assert(level >= 1 && level <= 3);
   return static_cast<std::size_t>(writes_[level - 1]);

@@ -66,9 +66,6 @@ class TrieEngine : public LabelEngine {
                                                       rtl::u32 key) override;
   UpdateOutcome update(mpls::Packet& packet, unsigned level,
                        hw::RouterType router_type) override;
-  std::vector<UpdateOutcome> update_batch(
-      std::span<mpls::Packet* const> packets,
-      hw::RouterType router_type) override;
   [[nodiscard]] std::size_t level_size(unsigned level) const override;
   [[nodiscard]] bool cacheable() const noexcept override { return true; }
   [[nodiscard]] rtl::u64 last_lookup_cost_cycles() const noexcept override;

@@ -23,8 +23,7 @@
 #include "net/traffic.hpp"
 #include "sw/hw_engine.hpp"
 #include "sw/linear_engine.hpp"
-#include "sw/sharded_engine.hpp"
-#include "sw/simd_engine.hpp"
+#include "sw/trie_engine.hpp"
 
 namespace empls::core {
 namespace {
@@ -35,7 +34,7 @@ std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
   if (kind == "linear") {
     return std::make_unique<sw::LinearEngine>();
   }
-  return std::make_unique<sw::SimdEngine>();
+  return std::make_unique<sw::TrieEngine>();
 }
 
 /// Everything two runs must agree on to count as "bit-identical".
@@ -130,24 +129,21 @@ RunResult run_line(const std::string& kind, std::size_t cache_entries,
 }
 
 // The cache only arms when it is configured AND the engine exposes a
-// cacheable search/tail decomposition; the RTL-backed and sharded
-// engines must see every packet and silently run uncached.
+// cacheable search/tail decomposition; the RTL-backed engines must see
+// every packet and silently run uncached.
 TEST(FlowCache, ArmsOnlyForCacheableEngines) {
   RouterConfig cfg;
   cfg.flow_cache_entries = 64;
-  EmbeddedRouter simd("s", std::make_unique<sw::SimdEngine>(), cfg);
-  EXPECT_TRUE(simd.flow_cache_enabled());
+  EmbeddedRouter trie("t", std::make_unique<sw::TrieEngine>(), cfg);
+  EXPECT_TRUE(trie.flow_cache_enabled());
   EmbeddedRouter linear("l", std::make_unique<sw::LinearEngine>(), cfg);
   EXPECT_TRUE(linear.flow_cache_enabled());
   EmbeddedRouter hw_r("h", std::make_unique<sw::HwEngine>(), cfg);
   EXPECT_FALSE(hw_r.flow_cache_enabled()) << "RTL model sees every packet";
-  EmbeddedRouter sharded("p", std::make_unique<sw::ShardedEngine>(2), cfg);
-  EXPECT_FALSE(sharded.flow_cache_enabled())
-      << "makespan model would change if hits skipped the batch";
 
   RouterConfig off;
   off.flow_cache_entries = 0;
-  EmbeddedRouter none("n", std::make_unique<sw::SimdEngine>(), off);
+  EmbeddedRouter none("n", std::make_unique<sw::TrieEngine>(), off);
   EXPECT_FALSE(none.flow_cache_enabled());
 }
 
@@ -156,8 +152,8 @@ TEST(FlowCache, ArmsOnlyForCacheableEngines) {
 // hits — while the books stay exactly those of the uncached run and of
 // the LinearEngine golden model.
 TEST(FlowCache, SteadyStateHitsWithBitIdenticalBooks) {
-  const auto uncached = run_line("simd", 0, 8, 0.3);
-  const auto cached = run_line("simd", 1024, 8, 0.3);
+  const auto uncached = run_line("trie", 0, 8, 0.3);
+  const auto cached = run_line("trie", 1024, 8, 0.3);
   const auto golden = run_line("linear", 0, 8, 0.3);
 
   EXPECT_FALSE(uncached.cache_enabled);
@@ -179,8 +175,8 @@ TEST(FlowCache, SteadyStateHitsWithBitIdenticalBooks) {
 // boundaries as the uncached run — identical books — while the cache
 // registers the stale-entry invalidations.
 TEST(FlowCache, EpochInvalidationKeepsCorruptedRunIdentical) {
-  const auto uncached = run_line("simd", 0, 3, 0.5, 0.1, 0.05);
-  const auto cached = run_line("simd", 1024, 3, 0.5, 0.1, 0.05);
+  const auto uncached = run_line("trie", 0, 3, 0.5, 0.1, 0.05);
+  const auto cached = run_line("trie", 1024, 3, 0.5, 0.1, 0.05);
 
   EXPECT_EQ(cached.books, uncached.books);
   // The corruption actually bit: deliveries were lost, then recovered.
@@ -203,7 +199,7 @@ TEST(FlowCache, RewritingTheSameBindingStillInvalidates) {
   cfg.type = hw::RouterType::kLer;
   cfg.flow_cache_entries = 64;
   auto owned = std::make_unique<EmbeddedRouter>(
-      "A", std::make_unique<sw::SimdEngine>(), cfg);
+      "A", std::make_unique<sw::TrieEngine>(), cfg);
   auto* router = owned.get();
   const auto a = net.add_node(std::move(owned));
   RouterConfig cfg_b;

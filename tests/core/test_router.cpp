@@ -9,7 +9,7 @@
 #include "hw/cycle_model.hpp"
 #include "net/network.hpp"
 #include "sw/linear_engine.hpp"
-#include "sw/sharded_engine.hpp"
+#include "sw/trie_engine.hpp"
 
 namespace empls::core {
 namespace {
@@ -252,16 +252,14 @@ TEST(Router, StatsCycleAccounting) {
   EXPECT_EQ(rig.router().stats().received, 1u);
 }
 
-TEST(Router, BacklogDrainsThroughBatchesOnAShardedEngine) {
-  // 12 simultaneous arrivals at a sharded router with batch=4: the
-  // first packet enters the engine alone, the backlog then drains in
-  // batches through update_batch, and nothing is lost or reordered
-  // within the (single) flow.
+TEST(Router, BacklogDrainsOnePacketAtATimeInOrder) {
+  // 12 simultaneous arrivals: the first enters the engine, the other 11
+  // queue, and the single datapath serves them one by one — nothing is
+  // lost or reordered, and the last packet leaves only after all 12
+  // updates' modelled cycles have elapsed.
   net::Network net;
-  RouterConfig cfg;
-  cfg.engine_batch_size = 4;
   auto r = std::make_unique<EmbeddedRouter>(
-      "R", std::make_unique<sw::ShardedEngine>(2), cfg);
+      "R", std::make_unique<sw::TrieEngine>(), RouterConfig{});
   const auto router_id = net.add_node(std::move(r));
   const auto sink_id = net.add_node(std::make_unique<SinkNode>("sink"));
   net.connect(router_id, sink_id, 1e9, 0.0);
@@ -279,13 +277,13 @@ TEST(Router, BacklogDrainsThroughBatchesOnAShardedEngine) {
   EXPECT_EQ(stats.received, 12u);
   EXPECT_EQ(stats.forwarded, 12u);
   EXPECT_EQ(stats.engine_overruns, 0u);
-  EXPECT_GT(stats.engine_batches, 0u);
-  EXPECT_GT(stats.engine_batched_packets, 0u);
-  // 1 served alone + the rest in batches of <= 4.
-  EXPECT_LE(stats.engine_batches,
-            (stats.engine_batched_packets + 3) / 4 + 1);
-  EXPECT_EQ(net.node_as<SinkNode>(sink_id).count, 12);
-  EXPECT_GT(stats.engine_cycles, 0u);
+  EXPECT_EQ(stats.engine_queue_peak, 11u);
+  EXPECT_EQ(stats.engine_cycles, 12 * hw::update_swap_cycles(1));
+  const auto& sink = net.node_as<SinkNode>(sink_id);
+  EXPECT_EQ(sink.count, 12);
+  EXPECT_EQ(sink.last.id, 11u);
+  const rtl::ClockModel clock(rtl::ClockModel::kPaperFrequencyHz);
+  EXPECT_GE(sink.arrival_time, clock.seconds(12 * hw::update_swap_cycles(1)));
 }
 
 }  // namespace

@@ -99,14 +99,14 @@ flow cbr 1 A 10.9.0.1 interval=20ms stop=0.0599
   EXPECT_EQ(report.flows.flow(1).delivered, 3u);
 }
 
-TEST(ScenarioRunner, ShardedEngineScenarioDeliversEverything) {
-  // A fast flow into a slow-clocked sharded LSR: arrivals outpace the
-  // engine, a backlog forms, and the router drains it in batches
-  // (batch=4) across the 2 worker shards.  Nothing may be lost and the
-  // transit hop must report modelled cycles like any hardware engine.
+TEST(ScenarioRunner, TrieEngineScenarioDrainsABacklog) {
+  // A fast flow into a slow-clocked trie LSR: arrivals outpace the
+  // engine, a backlog forms, and the router drains it one packet at a
+  // time.  Nothing may be lost and the transit hop must report modelled
+  // cycles like any hardware-costed engine.
   const auto report = run_ok(R"(
 router A ler
-router B lsr engine=sharded:2 batch=4 clock=1M
+router B lsr engine=trie clock=1M
 router C ler
 link A B 1G 0.1ms
 link B C 1G 0.1ms
@@ -119,16 +119,6 @@ run 0.1
   EXPECT_EQ(report.flows.flow(1).delivered, 100u);
   ASSERT_EQ(report.routers.size(), 3u);
   EXPECT_GT(report.routers[1].engine_cycles, 0u);
-}
-
-TEST(ScenarioRunner, BadShardCountIsAParseError) {
-  for (const char* engine : {"sharded:0", "sharded:65", "sharded:x",
-                             "sharded:"}) {
-    const auto result = ScenarioRunner::run_text(
-        std::string("router A ler engine=") + engine + "\n");
-    EXPECT_TRUE(std::holds_alternative<net::ScenarioError>(result))
-        << engine;
-  }
 }
 
 TEST(ScenarioRunner, AutorepairRestoresAfterFailure) {

@@ -3,9 +3,9 @@
 // information-base corruptions against a protected, auto-repairing
 // network.  No crash, and every flow conserves packets — anything not
 // delivered is an accounted drop, nothing vanishes.  Runs once on the
-// single-datapath golden engine and once on the sharded parallel plane
-// (which must keep the same books while batching through worker
-// threads; the TSan CI job runs this file for data-race coverage).
+// LinearEngine golden model and once on the production TrieEngine FIB
+// (every corruption resync and protection switch reprograms its
+// information base mid-traffic).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -20,8 +20,7 @@
 #include "sw/cam_engine.hpp"
 #include "sw/hash_engine.hpp"
 #include "sw/linear_engine.hpp"
-#include "sw/sharded_engine.hpp"
-#include "sw/simd_engine.hpp"
+#include "sw/trie_engine.hpp"
 
 namespace empls::net {
 namespace {
@@ -33,29 +32,8 @@ struct Rig {
   ControlPlane cp{net};
   FlowStats stats;
 
-  /// `shards` == 0: the LinearEngine golden model, per-packet service.
-  /// `shards` >= 1: ShardedEngine with batched engine service.
-  NodeId add_router(const char* name, hw::RouterType type, unsigned shards,
-                    std::size_t batch) {
-    core::RouterConfig cfg;
-    cfg.type = type;
-    std::unique_ptr<sw::LabelEngine> engine;
-    if (shards == 0) {
-      engine = std::make_unique<sw::LinearEngine>();
-    } else {
-      engine = std::make_unique<sw::ShardedEngine>(shards);
-      cfg.engine_batch_size = batch;
-    }
-    auto r = std::make_unique<core::EmbeddedRouter>(name, std::move(engine),
-                                                    cfg);
-    auto* raw = r.get();
-    const auto id = net.add_node(std::move(r));
-    cp.register_router(id, &raw->routing());
-    return id;
-  }
-
-  /// Router backed by a named software engine (the corruption campaign
-  /// runs across all of them).
+  /// Router backed by a named software engine (the campaigns run
+  /// across several of them).
   NodeId add_router_engine(const char* name, hw::RouterType type,
                            const std::string& kind) {
     core::RouterConfig cfg;
@@ -65,8 +43,8 @@ struct Rig {
       engine = std::make_unique<sw::HashEngine>();
     } else if (kind == "cam") {
       engine = std::make_unique<sw::CamEngine>();
-    } else if (kind == "simd") {
-      engine = std::make_unique<sw::SimdEngine>();
+    } else if (kind == "trie") {
+      engine = std::make_unique<sw::TrieEngine>();
     } else {
       engine = std::make_unique<sw::LinearEngine>();
     }
@@ -85,20 +63,26 @@ struct Rig {
   }
 };
 
-class FaultCampaign : public ::testing::TestWithParam<unsigned> {};
+/// Parameter 0 runs the LinearEngine golden model, 1 the TrieEngine.
+class FaultCampaign : public ::testing::TestWithParam<unsigned> {
+ protected:
+  static const char* engine_kind() {
+    return GetParam() == 0 ? "linear" : "trie";
+  }
+};
 
 // The acceptance stress: a seeded mixed campaign of >= 50 faults (cuts,
 // flaps, crashes, corruptions) against a protected, auto-repairing
 // six-router network with a detour plane.
 TEST_P(FaultCampaign, SixtyFaultCampaignConservesEveryFlow) {
-  const unsigned shards = GetParam();
+  const std::string kind = engine_kind();
   Rig rig;
-  const auto a = rig.add_router("A", hw::RouterType::kLer, shards, 8);
-  const auto b = rig.add_router("B", hw::RouterType::kLsr, shards, 8);
-  const auto c = rig.add_router("C", hw::RouterType::kLsr, shards, 8);
-  const auto d = rig.add_router("D", hw::RouterType::kLsr, shards, 8);
-  const auto e = rig.add_router("E", hw::RouterType::kLsr, shards, 8);
-  const auto f = rig.add_router("F", hw::RouterType::kLer, shards, 8);
+  const auto a = rig.add_router_engine("A", hw::RouterType::kLer, kind);
+  const auto b = rig.add_router_engine("B", hw::RouterType::kLsr, kind);
+  const auto c = rig.add_router_engine("C", hw::RouterType::kLsr, kind);
+  const auto d = rig.add_router_engine("D", hw::RouterType::kLsr, kind);
+  const auto e = rig.add_router_engine("E", hw::RouterType::kLsr, kind);
+  const auto f = rig.add_router_engine("F", hw::RouterType::kLer, kind);
   rig.net.connect(a, b, 100e6, 1e-3);
   rig.net.connect(b, c, 100e6, 1e-3);  // primary core
   rig.net.connect(c, f, 100e6, 1e-3);
@@ -175,7 +159,7 @@ TEST_P(FaultCampaign, SixtyFaultCampaignConservesEveryFlow) {
 
 // Corruption faults must bite on EVERY software engine: corrupt_entry
 // has engine-specific implementations (scan for linear, map mutation
-// for hash, inner-delegate for cam, SoA lane poke for simd), and a
+// for hash, inner-delegate for cam, table/trie poke for trie), and a
 // silent no-op would make the resilience results for that engine
 // vacuously clean.  Each engine must (a) actually garble the binding,
 // (b) misroute or drop because of it, and (c) be healed by the resync
@@ -222,21 +206,15 @@ TEST_P(CorruptionByEngine, CorruptionBitesAndResyncHeals) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, CorruptionByEngine,
-                         ::testing::Values("linear", "hash", "cam", "simd"),
+                         ::testing::Values("linear", "hash", "cam", "trie"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
 
-// shards == 0 is the LinearEngine baseline; 1 / 4 exercise the sharded
-// plane's quiesce-under-reprogramming path (every corruption resync and
-// protection switch reprograms information bases mid-traffic).
-INSTANTIATE_TEST_SUITE_P(Engines, FaultCampaign,
-                         ::testing::Values(0u, 1u, 4u),
+INSTANTIATE_TEST_SUITE_P(Engines, FaultCampaign, ::testing::Values(0u, 1u),
                          [](const auto& info) {
-                           return info.param == 0
-                                      ? std::string("linear")
-                                      : "sharded" +
-                                            std::to_string(info.param);
+                           return std::string(info.param == 0 ? "linear"
+                                                              : "trie");
                          });
 
 }  // namespace

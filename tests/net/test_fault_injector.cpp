@@ -143,7 +143,7 @@ TEST(FaultInjector, CampaignsAreDeterministicPerSeed) {
 
 // The >= 50-fault acceptance stress lives in test_fault_campaigns.cpp
 // (ctest label `slow`), where it runs against both the golden engine
-// and the sharded parallel plane.
+// and the trie FIB.
 
 }  // namespace
 }  // namespace empls::net

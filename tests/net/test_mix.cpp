@@ -1,10 +1,10 @@
 // Known-answer pins for the shared mixing finalizers (net/mix.hpp).
 //
-// Every open-addressing table, shard placement and flow-cache layout in
-// the tree derives from mix32 / mix64; silently changing a constant
-// would reshuffle all of them (and the replicated-engine differential
-// walls would only catch it indirectly).  These vectors make the
-// contract explicit: the exact published finalizers, byte for byte.
+// Every open-addressing table and flow-cache layout in the tree derives
+// from mix32 / mix64; silently changing a constant would reshuffle all
+// of them (and the differential walls would only catch it indirectly).
+// These vectors make the contract explicit: the exact published
+// finalizers, byte for byte.
 
 #include "net/mix.hpp"
 
@@ -41,7 +41,7 @@ TEST(Mix, Mix64MatchesPublishedSplitmix64Stream) {
 }
 
 TEST(Mix, Mix64PairPacksLevelHigh) {
-  // The sharded engine and the flow cache hash (level, key) as
+  // The flow cache hashes (level, key) as
   // (level << 32) | key; pin one vector plus the packing equivalence.
   EXPECT_EQ(mix64_pair(3u, 0x000fffffu), 0x0a32deae163c6d71ull);
   EXPECT_EQ(mix64_pair(7u, 42u), mix64((std::uint64_t{7} << 32) | 42u));

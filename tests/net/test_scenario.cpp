@@ -2,6 +2,8 @@
 // suffixes, and error reporting with line numbers.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "net/scenario.hpp"
 
 namespace empls::net {
@@ -73,7 +75,7 @@ run 1s
   EXPECT_EQ(s.qos.queue_capacity, 16u);
   ASSERT_EQ(s.routers.size(), 4u);
   EXPECT_TRUE(s.routers[0].is_ler);
-  EXPECT_EQ(s.routers[0].engine, "hw");
+  EXPECT_EQ(s.routers[0].engine, EngineKind::kHw);
   EXPECT_DOUBLE_EQ(s.routers[0].clock_hz, 25e6);
   EXPECT_EQ(s.links.size(), 3u);
   ASSERT_EQ(s.lsps.size(), 2u);
@@ -97,28 +99,33 @@ run 1s
 }
 
 TEST(ScenarioParse, EngineKindsAcceptedAndRejected) {
-  const auto s = parse_ok(
-      "router A ler engine=trie\n"
-      "router B lsr engine=sharded:4:trie\n"
-      "router C lsr engine=sharded:2:simd\n"
-      "router D lsr engine=sharded:8\n");
-  ASSERT_EQ(s.routers.size(), 4u);
-  EXPECT_EQ(s.routers[0].engine, "trie");
-  EXPECT_EQ(s.routers[1].engine, "sharded:4:trie");
-  EXPECT_EQ(s.routers[2].engine, "sharded:2:simd");
-  EXPECT_EQ(s.routers[3].engine, "sharded:8");
+  // Every name in the shared engine-kind list parses to its own kind.
+  std::string text;
+  for (std::size_t i = 0; i < kEngineKindNames.size(); ++i) {
+    text += "router R" + std::to_string(i) + " lsr engine=" +
+            std::string(kEngineKindNames[i]) + "\n";
+  }
+  const auto s = parse_ok(text);
+  ASSERT_EQ(s.routers.size(), kEngineKindNames.size());
+  for (std::size_t i = 0; i < kEngineKindNames.size(); ++i) {
+    EXPECT_EQ(s.routers[i].engine, static_cast<EngineKind>(i));
+  }
+  EXPECT_EQ(parse_ok("router A ler\n").routers[0].engine,
+            EngineKind::kLinear);
 
-  EXPECT_NE(parse_err("router A ler engine=patricia\n")
-                .message.find("unknown engine"),
-            std::string::npos);
-  EXPECT_NE(parse_err("router A ler engine=sharded:4:hash\n")
-                .message.find("replica"),
-            std::string::npos);
-  EXPECT_NE(parse_err("router A ler engine=sharded:0:trie\n")
-                .message.find("sharded"),
-            std::string::npos);
-  EXPECT_NE(parse_err("router A ler engine=sharded::trie\n")
-                .message.find("sharded"),
+  // Unknown kinds — including the retired simd and sharded engines —
+  // and the retired batch= option are line-numbered diagnostics.
+  for (const char* engine :
+       {"patricia", "simd", "sharded:4", "sharded:4:trie", "sharded:8"}) {
+    const auto err = parse_err(
+        std::string("router A ler\nrouter B lsr engine=") + engine + "\n");
+    EXPECT_EQ(err.line, 2) << engine;
+    EXPECT_NE(err.message.find("unknown engine"), std::string::npos)
+        << engine;
+  }
+  const auto batch = parse_err("router A ler\nrouter B lsr batch=8\n");
+  EXPECT_EQ(batch.line, 2);
+  EXPECT_NE(batch.message.find("unknown router option: batch"),
             std::string::npos);
 }
 

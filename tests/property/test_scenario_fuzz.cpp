@@ -34,14 +34,14 @@ TEST_P(ScenarioFuzz, RandomBytesNeverCrash) {
 
 TEST_P(ScenarioFuzz, MutatedValidScenariosNeverCrash) {
   // Exercises every directive family: the fault-injection verbs
-  // (protect / flap / crash / corrupt) and the sharded engine syntax
+  // (protect / flap / crash / corrupt) and the engine and cache options
   // mutate just like the originals.
   const std::string base = R"(
 qos strict capacity=16
 domains 2
 sync deterministic
 router A ler engine=hw
-router B lsr engine=sharded:4 batch=8
+router B lsr engine=trie cache=64
 router C ler
 link A B 10M 1ms
 link B C 10M 1ms
@@ -103,8 +103,9 @@ run 1
 TEST_P(ScenarioFuzz, DirectiveSoupNeverCrashes) {
   // Random programs assembled from plausible directive fragments — far
   // likelier than byte noise to reach deep parser paths (option maps,
-  // the sharded:<N> suffix, fault parameters) with wrong arity, wrong
-  // types and out-of-range values.
+  // engine kinds, fault parameters) with wrong arity, wrong types and
+  // out-of-range values.  Retired spellings (engine=simd, sharded:<N>,
+  // batch=K) stay in the soup: they must end in a diagnostic.
   const std::vector<std::string> verbs = {
       "qos",     "router", "link",    "lsp",      "lsp-cspf", "tunnel",
       "flow",    "fail",   "restore", "flap",     "crash",    "corrupt",
@@ -116,9 +117,9 @@ TEST_P(ScenarioFuzz, DirectiveSoupNeverCrashes) {
   const std::vector<std::string> words = {
       "A",        "B",          "C",       "ler",        "lsr",
       "strict",   "cbr",        "10M",     "1ms",        "0.2",
-      "7",        "10.1.0.0/16", "10.1.0.5", "engine=hw", "engine=sharded:4",
-      "engine=sharded:0", "engine=sharded:65", "engine=sharded:x",
-      "batch=8",  "batch=0",    "batch=-1", "cos=5",      "bw=1M",
+      "7",        "10.1.0.0/16", "10.1.0.5", "engine=hw", "engine=trie",
+      "engine=simd", "engine=sharded:4", "engine=",  "cache=64",
+      "cache=0",  "cache=off",  "batch=8", "cos=5",      "bw=1M",
       "for=50ms", "salt=9",     "resync=20ms", "down-for", "seed=1",
       "=",        "sharded:",   "1e99",    "-3",
       "auto",     "deterministic", "free", "0",  "257",     "2.5",
@@ -149,17 +150,13 @@ TEST_P(ScenarioFuzz, DirectiveSoupNeverCrashes) {
       EXPECT_GE(err->line, 1);
       EXPECT_FALSE(err->message.empty());
     } else {
-      // Accepted: sharded engines must have a validated shard count and
-      // batch sizes must be sane (the parser's contract with the
-      // runner, which feeds them unchecked into ShardedEngine).
+      // Accepted: every router names a known engine kind and a sane
+      // cache size (the parser's contract with the runner, which sizes
+      // the flow cache straight from it).
       const auto& s = std::get<Scenario>(result);
       for (const auto& r : s.routers) {
-        if (r.engine.rfind("sharded:", 0) == 0) {
-          const int n = std::stoi(r.engine.substr(8));
-          EXPECT_GE(n, 1);
-          EXPECT_LE(n, 64);
-        }
-        EXPECT_LE(r.batch, 4096u);
+        EXPECT_LT(static_cast<std::size_t>(r.engine), kEngineKindNames.size());
+        EXPECT_LE(r.cache, 1048576u);
       }
       // Same contract for the overload directives: the runner sizes
       // flat arrays and token buckets straight from these fields.
