@@ -340,7 +340,7 @@ void EmbeddedRouter::receive(net::PacketHandle packet,
           break;
       }
     }
-    engine_queue_.push_back(std::move(work));
+    engine_queue_.push(std::move(work));
     stats_.engine_queue_peak =
         std::max(stats_.engine_queue_peak, engine_queue_.size());
     return;
@@ -354,9 +354,27 @@ void EmbeddedRouter::engine_done() {
     engine_busy_ = false;
     return;
   }
-  Pending next = std::move(engine_queue_.front());
-  engine_queue_.pop_front();
-  process(std::move(next));
+  process(engine_queue_.pop());
+}
+
+void EmbeddedRouter::PendingRing::push(Pending&& work) {
+  if (count_ == slots_.size()) {
+    std::vector<Pending> grown(std::max<std::size_t>(16, 2 * slots_.size()));
+    for (std::size_t i = 0; i < count_; ++i) {
+      grown[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  slots_[(head_ + count_) & (slots_.size() - 1)] = std::move(work);
+  ++count_;
+}
+
+EmbeddedRouter::Pending EmbeddedRouter::PendingRing::pop() {
+  Pending work = std::move(slots_[head_]);
+  head_ = (head_ + 1) & (slots_.size() - 1);
+  --count_;
+  return work;
 }
 
 void EmbeddedRouter::process(Pending work) {

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <functional>
 #include <memory>
@@ -51,7 +50,8 @@ struct RouterConfig {
   /// software); default approximates a mid-2000s software router's
   /// per-packet MPLS path.
   double sw_update_latency_s = 2e-6;
-  /// Validate serialize/parse round trips on every packet.
+  /// Drop (as malformed) every packet that would not survive a
+  /// serialize → parse round trip, checked in place on arrival.
   bool validate_wire = true;
   /// First label this router's allocator hands out (label spaces are
   /// per-router; distinct bases make multi-router traces readable).
@@ -168,6 +168,23 @@ class EmbeddedRouter : public net::Node {
     IngressProcessor::Classification cls;
   };
 
+  /// FIFO of packets waiting for the engine: a power-of-two ring that
+  /// grows to the backlog's peak and never shrinks, so steady-state
+  /// queueing does not allocate (a std::deque frees and re-allocates a
+  /// block every few packets as a backlog moves through it).
+  class PendingRing {
+   public:
+    [[nodiscard]] std::size_t size() const noexcept { return count_; }
+    [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+    void push(Pending&& work);
+    Pending pop();  // !empty() required
+
+   private:
+    std::vector<Pending> slots_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+  };
+
   void count_op(mpls::LabelOp op);
   /// Run the label engine on one packet and launch the result.
   void process(Pending work);
@@ -219,7 +236,7 @@ class EmbeddedRouter : public net::Node {
   rtl::ClockModel clock_;
   Stats stats_;
   PacketTap tap_;
-  std::deque<Pending> engine_queue_;
+  PendingRing engine_queue_;
   std::vector<CacheEntry> flow_cache_;  // empty = cache off
   net::FlowCacheStats cache_stats_;
   bool engine_busy_ = false;

@@ -4,8 +4,8 @@
 // stack and a packet identifier to the label stack modifier."  This
 // module classifies an arriving packet: which information-base level the
 // update must search and with which key, plus wire-level validation
-// (parse/serialize round trip) so malformed packets never reach the
-// modifier.
+// (would the packet survive a serialize/parse round trip?) so malformed
+// packets never reach the modifier.
 #pragma once
 
 #include <optional>
@@ -37,8 +37,10 @@ class IngressProcessor {
   [[nodiscard]] static std::optional<mpls::Packet> parse(
       std::span<const std::uint8_t> bytes);
 
-  /// Integrity check used by the router's validation mode: a packet must
-  /// survive a serialize → parse round trip unchanged.
+  /// Integrity check used by the router's validation mode: true exactly
+  /// when the packet would survive a serialize → parse round trip
+  /// unchanged.  Evaluated on the fields in place, without allocating;
+  /// the round trip itself is the test oracle.
   [[nodiscard]] static bool wire_round_trip_ok(const mpls::Packet& packet);
 };
 

@@ -43,19 +43,51 @@ void EventQueue::schedule_event(SimTime at, InlineEvent fn) {
   } else {
     ++stats_.events_heap_fallback;
   }
-  push(Event{at, next_seq_++, /*slot=*/0, std::move(fn)});
+  push(Key{at, next_seq_++, store(std::move(fn))});
 }
 
-void EventQueue::push(Event&& ev) {
+std::uint32_t EventQueue::store(InlineEvent&& fn) {
+  if (free_bodies_.empty()) {
+    free_bodies_.push_back(static_cast<std::uint32_t>(bodies_.size()));
+    bodies_.emplace_back();
+  }
+  const std::uint32_t i = free_bodies_.back();
+  free_bodies_.pop_back();
+  bodies_[i] = std::move(fn);
+  return i;
+}
+
+void EventQueue::execute(const Key& key) {
+  now_ = key.time;
+  // Move the closure out before running it: the callback may schedule,
+  // which may grow the slab, and its slot is free for those schedules.
+  InlineEvent fn = std::move(bodies_[key.body]);
+  free_bodies_.push_back(key.body);
+  fn();
+}
+
+void EventQueue::push(const Key& key) {
   if (backend_ == SchedulerBackend::kHeap) {
-    heap_push(std::move(ev));
+    heap_push(key);
   } else {
-    calendar_insert(std::move(ev));
+    calendar_insert(key);
   }
   ++size_;
 }
 
-EventQueue::Event EventQueue::pop() {
+const EventQueue::Key& EventQueue::top() {
+  assert(size_ > 0);
+  if (backend_ == SchedulerBackend::kHeap) {
+    return heap_.front();
+  }
+  if (!top_valid_) {
+    top_ = calendar_find(size_);
+    top_valid_ = true;
+  }
+  return buckets_[top_.bucket][top_.index];
+}
+
+EventQueue::Key EventQueue::pop() {
   assert(size_ > 0);
   --size_;
   if (backend_ == SchedulerBackend::kHeap) {
@@ -65,30 +97,13 @@ EventQueue::Event EventQueue::pop() {
 }
 
 std::uint64_t EventQueue::run_until(SimTime until) {
-  std::uint64_t executed = 0;
-  while (size_ > 0) {
-    Event ev = pop();
-    if (ev.time > until) {
-      push(std::move(ev));  // keeps its sequence number: order unchanged
-      break;
-    }
-    now_ = ev.time;
-    ev.fn();
-    ++executed;
-  }
-  if (now_ < until) {
-    now_ = until;
-  }
-  stats_.executed += executed;
-  return executed;
+  return run_window(until, /*inclusive=*/true);
 }
 
 std::uint64_t EventQueue::run() {
   std::uint64_t executed = 0;
   while (size_ > 0) {
-    Event ev = pop();
-    now_ = ev.time;
-    ev.fn();
+    execute(pop());
     ++executed;
   }
   stats_.executed += executed;
@@ -99,25 +114,14 @@ SimTime EventQueue::next_time() {
   if (size_ == 0) {
     return std::numeric_limits<SimTime>::infinity();
   }
-  if (backend_ == SchedulerBackend::kHeap) {
-    return heap_.front().time;
-  }
-  // Calendar: pop the minimum and re-push it.  The event keeps its
-  // sequence number so execution order is unchanged; the cursor pull-back
-  // in calendar_insert restores the scan position.
-  Event ev = pop();
-  const SimTime t = ev.time;
-  push(std::move(ev));
-  return t;
+  return top().time;
 }
 
 bool EventQueue::step() {
   if (size_ == 0) {
     return false;
   }
-  Event ev = pop();
-  now_ = ev.time;
-  ev.fn();
+  execute(pop());
   ++stats_.executed;
   return true;
 }
@@ -125,13 +129,11 @@ bool EventQueue::step() {
 std::uint64_t EventQueue::run_window(SimTime end, bool inclusive) {
   std::uint64_t executed = 0;
   while (size_ > 0) {
-    Event ev = pop();
-    if (ev.time > end || (!inclusive && ev.time == end)) {
-      push(std::move(ev));  // keeps its sequence number: order unchanged
-      break;
+    const SimTime t = top().time;
+    if (t > end || (!inclusive && t == end)) {
+      break;  // a late event stays queued where it is
     }
-    now_ = ev.time;
-    ev.fn();
+    execute(pop());
     ++executed;
   }
   if (now_ < end) {
@@ -145,136 +147,133 @@ void EventQueue::set_scheduler(SchedulerBackend backend) {
   if (backend == backend_) {
     return;
   }
-  // Drain the old structure, switch, re-push.  Sequence numbers ride
-  // along, so execution order is unchanged.
-  std::vector<Event> pending;
-  pending.reserve(size_);
+  // Move the keys to the other structure; the closures stay in the slab
+  // and the keys keep their sequence numbers, so execution order is
+  // unchanged.
+  std::vector<Key> pending;
   if (backend_ == SchedulerBackend::kHeap) {
-    pending = std::move(heap_);
-    heap_.clear();
+    pending.swap(heap_);
   } else {
+    pending.reserve(size_);
     for (auto& bucket : buckets_) {
-      for (auto& ev : bucket) {
-        pending.push_back(std::move(ev));
-      }
+      pending.insert(pending.end(), bucket.begin(), bucket.end());
       bucket.clear();
     }
+    top_valid_ = false;
   }
   backend_ = backend;
   size_ = 0;
-  for (auto& ev : pending) {
-    push(std::move(ev));
+  for (const Key& key : pending) {
+    push(key);
   }
 }
 
 // ---------------------------------------------------------------------
 // Heap backend.
 
-void EventQueue::heap_push(Event&& ev) {
-  heap_.push_back(std::move(ev));
+void EventQueue::heap_push(const Key& key) {
+  heap_.push_back(key);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-EventQueue::Event EventQueue::heap_pop() {
+EventQueue::Key EventQueue::heap_pop() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
+  const Key key = heap_.back();
   heap_.pop_back();
-  return ev;
+  return key;
 }
 
 // ---------------------------------------------------------------------
 // Calendar backend.
 //
-// An event's slot is trunc(time * 1/width) — exact for the non-negative
-// clock — cached in the event at insert, and it lives in bucket
+// A key's slot is trunc(time * 1/width) — exact for the non-negative
+// clock — cached beside the key at insert, and it lives in bucket
 // (slot & mask).  The cursor walks slots in order; within the cursor's
-// slot the (time, seq) minimum is popped, which is the global minimum
-// because all earlier slots have been drained and later slots only hold
-// later times.  The hot paths are branchy integer code on purpose: no
+// slot the (time, seq) minimum is the global minimum, because all
+// earlier slots have been drained and later slots only hold later
+// times.  The hot paths are branchy integer code on purpose: no
 // divides, no fmod, no floor.
 
-void EventQueue::calendar_insert(Event&& ev) {
+void EventQueue::calendar_insert(const Key& key) {
   if (buckets_.empty()) {
     calendar_rebuild(kMinBuckets);
   } else if (size_ + 1 > 2 * buckets_.size()) {
     calendar_rebuild(2 * buckets_.size());
   }
-  ev.slot = slot_of(ev.time);
-  // An event may land behind the cursor: run_until() can advance now()
+  const SlottedKey entry{key, slot_of(key.time)};
+  // A key may land behind the cursor: run_until() can advance now()
   // past slots the cursor already drained, and the next schedule lands
-  // in one of them.  Pull the cursor back so the scan can't pop a later
-  // event first.
-  if (ev.slot < cursor_slot_ || size_ == 0) {
-    cursor_slot_ = ev.slot;
+  // in one of them.  Pull the cursor back so the scan can't find a later
+  // key first.
+  if (entry.slot < cursor_slot_ || size_ == 0) {
+    cursor_slot_ = entry.slot;
   }
-  buckets_[bucket_of(ev.slot)].push_back(std::move(ev));
+  buckets_[bucket_of(entry.slot)].push_back(entry);
+  top_valid_ = false;
 }
 
-EventQueue::Event EventQueue::calendar_pop() {
-  // size_ was already decremented by pop(); the true count is size_ + 1.
-  if (buckets_.size() > kMinBuckets && (size_ + 1) * 8 < buckets_.size()) {
+EventQueue::Key EventQueue::calendar_pop() {
+  const Location at = top_valid_ ? top_ : calendar_find(size_ + 1);
+  top_valid_ = false;
+  auto& bucket = buckets_[at.bucket];
+  const Key key = bucket[at.index];
+  bucket[at.index] = bucket.back();  // intra-bucket order is free
+  bucket.pop_back();
+  return key;
+}
+
+EventQueue::Location EventQueue::calendar_find(std::size_t count) {
+  // Every search applies the shrink rule once, as every pop did when a
+  // peek was a pop and a push.
+  if (buckets_.size() > kMinBuckets && count * 8 < buckets_.size()) {
     calendar_rebuild(buckets_.size() / 2);
   }
   const std::size_t n = buckets_.size();
-  auto better = [](const Event& a, const Event& b) {
-    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
-  };
-  auto take = [](std::vector<Event>& bucket, std::size_t i) {
-    Event ev = std::move(bucket[i]);
-    if (i + 1 != bucket.size()) {
-      bucket[i] = std::move(bucket.back());  // intra-bucket order is free
+  // The best key of one bucket in slot `slot`, or bucket.size() if none.
+  auto best_in = [](const std::vector<SlottedKey>& bucket, std::uint64_t slot,
+                    std::uint64_t& later_slot) {
+    std::size_t best = bucket.size();
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      if (bucket[i].slot != slot) {
+        // A later year sharing this bucket.
+        later_slot = std::min(later_slot, bucket[i].slot);
+      } else if (best == bucket.size() || Later{}(bucket[best], bucket[i])) {
+        best = i;
+      }
     }
-    bucket.pop_back();
-    return ev;
+    return best;
   };
 
+  std::uint64_t later_slot = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t scan = cursor_slot_;
   std::size_t b = bucket_of(scan);
   for (std::size_t visited = 0; visited <= n;
        ++visited, ++scan, b = (b + 1) & mask_) {
-    auto& bucket = buckets_[b];
-    std::size_t best = bucket.size();
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      if (bucket[i].slot != scan) {
-        continue;  // a later year sharing this bucket
-      }
-      if (best == bucket.size() || better(bucket[i], bucket[best])) {
-        best = i;
-      }
-    }
-    if (best != bucket.size()) {
+    const std::size_t best = best_in(buckets_[b], scan, later_slot);
+    if (best != buckets_[b].size()) {
       cursor_slot_ = scan;
-      return take(bucket, best);
+      return {b, best};
     }
   }
 
-  // A full rotation found nothing: every pending event is at least one
-  // rotation ahead of the cursor (a sparse stretch).  Direct-search the
-  // global minimum and jump the cursor to it.
-  std::size_t best_bucket = n;
-  std::size_t best_index = 0;
-  for (std::size_t bkt = 0; bkt < n; ++bkt) {
-    for (std::size_t i = 0; i < buckets_[bkt].size(); ++i) {
-      if (best_bucket == n ||
-          better(buckets_[bkt][i], buckets_[best_bucket][best_index])) {
-        best_bucket = bkt;
-        best_index = i;
-      }
-    }
-  }
-  assert(best_bucket != n && "pop on an empty calendar");
-  cursor_slot_ = buckets_[best_bucket][best_index].slot;
-  return take(buckets_[best_bucket], best_index);
+  // A full rotation found nothing: every pending key is at least one
+  // rotation ahead of the cursor (a sparse stretch).  The rotation saw
+  // every key, so the earliest slot holding one is known; jump the
+  // cursor there.
+  assert(later_slot != std::numeric_limits<std::uint64_t>::max() &&
+         "search of an empty calendar");
+  cursor_slot_ = later_slot;
+  b = bucket_of(later_slot);
+  return {b, best_in(buckets_[b], later_slot, later_slot)};
 }
 
 void EventQueue::calendar_rebuild(std::size_t nbuckets) {
   ++stats_.calendar_rebuilds;
-  std::vector<Event> pending;
-  pending.reserve(size_);
-  for (auto& bucket : buckets_) {
-    for (auto& ev : bucket) {
-      pending.push_back(std::move(ev));
-    }
+  top_valid_ = false;
+  std::vector<SlottedKey> pending;
+  pending.reserve(size_ + 1);  // pop() may have taken its key off size_
+  for (const auto& bucket : buckets_) {
+    pending.insert(pending.end(), bucket.begin(), bucket.end());
   }
   buckets_.clear();
   buckets_.resize(std::max(nbuckets, kMinBuckets));  // stays a power of 2
@@ -291,8 +290,8 @@ void EventQueue::calendar_rebuild(std::size_t nbuckets) {
   if (pending.size() >= 2) {
     std::vector<double> times;
     times.reserve(pending.size());
-    for (const auto& ev : pending) {
-      times.push_back(ev.time);
+    for (const auto& entry : pending) {
+      times.push_back(entry.time);
     }
     std::sort(times.begin(), times.end());
     std::vector<double> gaps;
@@ -312,12 +311,10 @@ void EventQueue::calendar_rebuild(std::size_t nbuckets) {
   }
 
   cursor_slot_ = slot_of(now_);
-  for (auto& ev : pending) {
-    ev.slot = slot_of(ev.time);  // slots shift with the new width
-    cursor_slot_ = std::min(cursor_slot_, ev.slot);
-  }
-  for (auto& ev : pending) {
-    buckets_[bucket_of(ev.slot)].push_back(std::move(ev));
+  for (auto& entry : pending) {
+    entry.slot = slot_of(entry.time);  // slots shift with the width
+    cursor_slot_ = std::min(cursor_slot_, entry.slot);
+    buckets_[bucket_of(entry.slot)].push_back(entry);
   }
 }
 

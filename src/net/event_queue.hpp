@@ -11,10 +11,18 @@
 //   kCalendar — calendar queue (R. Brown, CACM 1988): time is hashed
 //               into width-sized bucket slots, so schedule and pop are
 //               O(1) amortized for the clustered event times traffic
-//               generates; a direct-search fallback keeps sparse or
-//               irregular workloads correct.
+//               generates; a fallback that jumps to the earliest
+//               occupied slot keeps sparse or irregular workloads
+//               correct.
 // Callbacks are InlineEvents: move-only closures stored inline up to 64
 // bytes, so steady-state scheduling performs no heap allocation.
+//
+// Both backends order small keys {time, seq, body}, never the closures
+// themselves.  A closure is moved once into a slot of one shared body
+// slab (with a free list, so the slab never grows past the peak number
+// of pending events) and moved out once when its key reaches the top.
+// A heap sift or a bucket scan therefore moves plain integers and
+// doubles instead of relocating 80-byte closures through their vtables.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +69,8 @@ class EventQueue {
   std::uint64_t run();
 
   /// Earliest pending event time, or +inf when the queue is empty.
-  /// Non-const: the calendar backend peeks by popping and re-pushing
-  /// (the event keeps its sequence number, so order is unchanged).
+  /// Non-const: the calendar backend locates (and remembers) its minimum
+  /// key, and may halve its bucket array first, exactly as a pop would.
   [[nodiscard]] SimTime next_time();
 
   /// Execute exactly one event (the global (time, seq) minimum).
@@ -111,25 +119,53 @@ class EventQueue {
     return stats_.clamped;
   }
 
+  /// Closure slots the body slab has created: the peak number of events
+  /// pending at once, never more, because executed slots are recycled.
+  [[nodiscard]] std::size_t body_slots() const noexcept {
+    return bodies_.size();
+  }
+
  private:
-  struct Event {
+  /// What the heap orders: the (time, seq) key of one pending event plus
+  /// the slab index of its closure.
+  struct Key {
     SimTime time;
     std::uint64_t seq;
-    std::uint64_t slot;  // cached calendar slot; unused by the heap
-    InlineEvent fn;
+    std::uint32_t body;
+  };
+  /// What a calendar bucket holds: a key plus its absolute slot number,
+  /// computed at insert so the bucket scan does pure integer compares.
+  struct SlottedKey : Key {
+    std::uint64_t slot;
+  };
+  struct Location {
+    std::size_t bucket;
+    std::size_t index;
   };
 
-  void push(Event&& ev);
-  /// Pop the global (time, seq) minimum; size_ > 0 required.
-  Event pop();
+  /// Move `fn` into a free slab slot and return its index.
+  std::uint32_t store(InlineEvent&& fn);
+  /// Run the event behind `key`, already removed from the backend.
+  void execute(const Key& key);
+
+  void push(const Key& key);
+  /// The global (time, seq) minimum, left queued; size_ > 0 required.
+  const Key& top();
+  /// Remove and return the global (time, seq) minimum; size_ > 0
+  /// required.
+  Key pop();
 
   // -- heap backend ------------------------------------------------------
-  void heap_push(Event&& ev);
-  Event heap_pop();
+  void heap_push(const Key& key);
+  Key heap_pop();
 
   // -- calendar backend --------------------------------------------------
-  void calendar_insert(Event&& ev);
-  Event calendar_pop();
+  void calendar_insert(const Key& key);
+  /// Remove the minimum key: the one top() found, else search for it.
+  Key calendar_pop();
+  /// Where the minimum key is, `count` keys being queued (pop() has
+  /// already taken its key off size_); moves the cursor to its slot.
+  Location calendar_find(std::size_t count);
   void calendar_rebuild(std::size_t nbuckets);
   /// Absolute slot number of time `t`.  Truncation == floor because the
   /// clock is non-negative; one multiply instead of a divide.
@@ -147,18 +183,27 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   Stats stats_;
 
-  // Heap storage: a min-heap over (time, seq) kept with std::push_heap /
-  // std::pop_heap so the top can be moved out (InlineEvent is move-only).
-  std::vector<Event> heap_;
+  // Body slab: each pending event's closure, indexed by Key::body, and
+  // the indices of the free slots.
+  std::vector<InlineEvent> bodies_;
+  std::vector<std::uint32_t> free_bodies_;
 
-  // Calendar storage.  Slots are absolute (not wrapped) slot numbers;
-  // every event caches its slot at insert so the pop scan does pure
-  // integer compares.  Width is applied as a cached reciprocal.
-  std::vector<std::vector<Event>> buckets_;
+  // Heap storage: a min-heap of keys over (time, seq), kept with
+  // std::push_heap / std::pop_heap.
+  std::vector<Key> heap_;
+
+  // Calendar storage.  Slots are absolute (not wrapped) slot numbers.
+  // Width is applied as a cached reciprocal.
+  std::vector<std::vector<SlottedKey>> buckets_;
   double width_ = 1e-3;      // bucket width in seconds
   double inv_width_ = 1e3;   // 1 / width_, kept in sync by rebuild
   std::size_t mask_ = 0;     // buckets_.size() - 1 (power of two)
   std::uint64_t cursor_slot_ = 0;  // slot currently being drained
+  // Where top() last found the calendar minimum, so the pop that
+  // usually follows a peek does not scan again; valid until the next
+  // insert, pop or rebuild.
+  bool top_valid_ = false;
+  Location top_{};
 };
 
 }  // namespace empls::net

@@ -150,12 +150,10 @@ TEST(Router, LsrDoesNotTakeTheSlowPath) {
 TEST(Router, MalformedPacketCounted) {
   Rig rig;
   mpls::Packet p;
-  // Oversize shim claim: corrupt by hand-building a stack deeper than
-  // the wire format supports is impossible through the API, so corrupt
-  // the payload length contract instead: wire_round_trip_ok() is
-  // exercised via a packet whose stack was built with mismatched S bits
-  // through direct manipulation.  Easiest honest trigger: a payload too
-  // large for the 16-bit length field.
+  // A packet the wire format cannot carry: its payload is too large for
+  // the 16-bit payload length field, so it would not survive a serialize
+  // → parse round trip.  (The stack cannot be made malformed through the
+  // LabelStack API, which keeps S bits and depth consistent.)
   p.payload.assign(70000, 1);
   rig.net.inject(rig.router_id, p);
   rig.net.run();

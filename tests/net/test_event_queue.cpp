@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -146,6 +149,209 @@ TEST_P(EventQueueBackends, SparseAndClusteredTimesBothOrder) {
   q.run();
   ASSERT_EQ(ran.size(), times.size());
   EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
+}
+
+TEST_P(EventQueueBackends, WindowEdgeTiesAndPeeks) {
+  EventQueue q = make();
+  std::vector<int> order;
+  q.schedule_at(1.0, [&] { order.push_back(0); });
+  q.schedule_at(1.0, [&] { order.push_back(1); });
+  q.schedule_at(2.0, [&] { order.push_back(2); });
+  EXPECT_EQ(q.run_window(1.0, /*inclusive=*/false), 0u)
+      << "an exclusive window leaves events at its edge queued";
+  EXPECT_EQ(q.now(), 1.0);
+  EXPECT_EQ(q.next_time(), 1.0);
+  EXPECT_EQ(q.next_time(), 1.0) << "peeking twice changes nothing";
+  EXPECT_EQ(q.run_window(1.0, /*inclusive=*/true), 2u);
+  EXPECT_EQ(q.next_time(), 2.0);
+  EXPECT_EQ(q.run_until(2.0), 1u) << "run_until includes its horizon";
+  EXPECT_EQ(q.next_time(), std::numeric_limits<SimTime>::infinity());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// Differential against the defining order.  A shadow set of (time, seq)
+// keys is kept in lockstep with the queue; every callback checks that it
+// is the shadow's minimum.  The harness mixes randomized schedules on a
+// coarse grid (so times tie exactly), callbacks that schedule children
+// (some in the past, so they clamp) and switch the backend while they
+// run, bounded runs whose horizon is exactly a pending time, next_time()
+// and pending() checks, single steps, and backend migrations between
+// operations.  It also pins that the closure slab is recycled: it holds
+// exactly as many slots as events were ever pending at once.
+class ReferenceHarness {
+ public:
+  ReferenceHarness(EventQueue& q, unsigned seed) : q_(q), rng_(seed) {}
+
+  void schedule(double at) {
+    const double t = std::max(at, q_.now());
+    const std::uint64_t seq = next_seq_++;
+    ref_.emplace(t, seq);
+    peak_pending_ = std::max(peak_pending_, ref_.size());
+    q_.schedule_at(at, [this, t, seq] { fire(t, seq); });
+  }
+
+  void drive() {
+    for (int op = 0; op < 400; ++op) {
+      switch (pick(8)) {
+        case 0:
+        case 1:
+          for (unsigned n = 1 + pick(12); n > 0; --n) {
+            schedule(q_.now() + grid_delay());
+          }
+          break;
+        case 2:
+          EXPECT_EQ(q_.next_time(), ref_min_time());
+          break;
+        case 3:
+          run_until(pending_time_or(q_.now() + grid_delay()));
+          break;
+        case 4:
+          run_window(pending_time_or(q_.now() + grid_delay()),
+                     pick(2) == 0);
+          break;
+        case 5:
+          EXPECT_EQ(q_.step(), !ref_.empty());
+          break;
+        case 6:
+          toggle_backend();
+          break;
+        default:
+          EXPECT_EQ(q_.pending(), ref_.size());
+          break;
+      }
+    }
+    q_.run();
+    EXPECT_TRUE(ref_.empty());
+    EXPECT_EQ(mismatches_, 0u) << "callbacks ran out of (time, seq) order";
+    EXPECT_EQ(past_horizon_, 0u) << "bounded runs ran events past their end";
+    EXPECT_GT(fired_, 1000u);
+    EXPECT_GT(toggles_, 10u);
+    EXPECT_EQ(q_.body_slots(), peak_pending_);
+  }
+
+ private:
+  unsigned pick(unsigned n) { return static_cast<unsigned>(rng_() % n); }
+
+  /// Mostly multiples of 0.25 (exact in binary, so times tie), at times
+  /// an arbitrary offset.
+  double grid_delay() {
+    return pick(4) == 0 ? std::uniform_real_distribution<double>(0, 2)(rng_)
+                        : 0.25 * pick(9);
+  }
+
+  double ref_min_time() const {
+    return ref_.empty() ? std::numeric_limits<SimTime>::infinity()
+                        : ref_.begin()->first;
+  }
+
+  /// A pending event's exact time (a boundary tie), or `otherwise`.
+  double pending_time_or(double otherwise) {
+    if (ref_.empty() || pick(3) == 0) {
+      return otherwise;
+    }
+    return std::next(ref_.begin(), pick(static_cast<unsigned>(
+                                       std::min<std::size_t>(ref_.size(), 8))))
+        ->first;
+  }
+
+  void run_until(double until) {
+    const double before = q_.now();
+    horizon_ = until;
+    q_.run_until(until);
+    horizon_ = std::numeric_limits<double>::infinity();
+    EXPECT_GT(ref_min_time(), until);
+    EXPECT_EQ(q_.now(), std::max(before, until));
+  }
+
+  void run_window(double end, bool inclusive) {
+    const double before = q_.now();
+    horizon_ = end;
+    horizon_inclusive_ = inclusive;
+    q_.run_window(end, inclusive);
+    horizon_ = std::numeric_limits<double>::infinity();
+    horizon_inclusive_ = true;
+    if (inclusive) {
+      EXPECT_GT(ref_min_time(), end);
+    } else {
+      EXPECT_GE(ref_min_time(), end);
+    }
+    EXPECT_EQ(q_.now(), std::max(before, end));
+  }
+
+  void toggle_backend() {
+    ++toggles_;
+    q_.set_scheduler(q_.scheduler() == SchedulerBackend::kHeap
+                         ? SchedulerBackend::kCalendar
+                         : SchedulerBackend::kHeap);
+  }
+
+  void fire(double t, std::uint64_t seq) {
+    ++fired_;
+    if (ref_.empty() || *ref_.begin() != std::make_pair(t, seq) ||
+        q_.now() != t) {
+      ++mismatches_;
+    }
+    if (t > horizon_ || (!horizon_inclusive_ && t == horizon_)) {
+      ++past_horizon_;
+    }
+    ref_.erase({t, seq});
+    if (next_seq_ < 3000 && pick(3) == 0) {
+      for (unsigned n = 1 + pick(2); n > 0; --n) {
+        // One child in eight is scheduled in the past and clamps.
+        schedule(pick(8) == 0 ? q_.now() - 0.5 : q_.now() + grid_delay());
+      }
+    }
+    if (pick(20) == 0) {
+      toggle_backend();  // migrate while this closure is running
+    }
+  }
+
+  EventQueue& q_;
+  std::mt19937 rng_;
+  std::set<std::pair<double, std::uint64_t>> ref_;
+  std::uint64_t next_seq_ = 0;
+  std::size_t peak_pending_ = 0;
+  std::uint64_t fired_ = 0;
+  std::uint64_t mismatches_ = 0;
+  std::uint64_t past_horizon_ = 0;
+  // The end of the bounded run in progress, if any.
+  double horizon_ = std::numeric_limits<double>::infinity();
+  bool horizon_inclusive_ = true;
+  unsigned toggles_ = 0;
+};
+
+TEST_P(EventQueueBackends, MatchesSortedReferenceUnderRandomSchedules) {
+  for (unsigned seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    EventQueue q = make();
+    ReferenceHarness harness(q, seed);
+    harness.drive();
+  }
+}
+
+TEST_P(EventQueueBackends, BodySlabIsRecycledInSteadyState) {
+  // 64 self-rescheduling timers: at most 64 pending, however many events
+  // execute.
+  EventQueue q = make();
+  constexpr unsigned kTimers = 64;
+  std::uint64_t remaining = 200000;
+  struct Timer {
+    EventQueue* q;
+    std::uint64_t* remaining;
+    double period;
+    void operator()() const {
+      if (*remaining > 0) {
+        --*remaining;
+        q->schedule_in(period, *this);
+      }
+    }
+  };
+  for (unsigned i = 0; i < kTimers; ++i) {
+    q.schedule_in(1e-7 * i, Timer{&q, &remaining, 1e-6 * (1 + i % 7)});
+  }
+  q.run();
+  EXPECT_EQ(remaining, 0u);
+  EXPECT_EQ(q.body_slots(), kTimers);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,12 +1,14 @@
 // Robustness property for the wire parsers: random and mutated byte
 // strings must never crash Packet::parse / LabelStack::parse, and
 // anything accepted must re-serialise to a consistent wire image
-// (parse ∘ serialize = identity on the accepted set).
+// (parse ∘ serialize = identity on the accepted set).  The router's
+// in-place wire check must agree exactly with that round trip.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <vector>
 
+#include "core/ingress.hpp"
 #include "mpls/packet.hpp"
 
 namespace empls::mpls {
@@ -84,6 +86,60 @@ TEST_P(WireFuzz, MutatedValidPacketsNeverCrash) {
       EXPECT_EQ(packet->wire_size(), bytes.size()) << trial;
     }
   }
+}
+
+/// The oracle: does the packet come back unchanged from the wire?
+bool round_trip_reproduces(const Packet& p) {
+  const auto again = Packet::parse(p.serialize());
+  return again && again->l2 == p.l2 && again->src == p.src &&
+         again->dst == p.dst && again->cos == p.cos &&
+         again->ip_ttl == p.ip_ttl && again->stack == p.stack &&
+         again->payload == p.payload;
+}
+
+// Differential: IngressProcessor::wire_round_trip_ok evaluates in place
+// the condition under which the round trip reproduces a packet.  Fuzz
+// every field the wire format can fail to carry — out-of-range L2 types,
+// labels and CoS wider than their fields, stacks of non-hardware
+// capacity, payloads around the 16-bit length limit — and require the
+// two to agree on every packet.
+TEST_P(WireFuzz, InPlaceCheckAgreesWithRoundTrip) {
+  std::mt19937 rng(GetParam() * 7919);
+  auto pick = [&rng](unsigned n) { return static_cast<unsigned>(rng() % n); };
+  unsigned accepted = 0;
+  unsigned rejected = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t capacity = 1 + pick(5);
+    Packet p;
+    p.stack = LabelStack(capacity);
+    p.l2 = static_cast<L2Type>(pick(5));
+    p.src = Ipv4Address{static_cast<std::uint32_t>(rng())};
+    p.dst = Ipv4Address{static_cast<std::uint32_t>(rng())};
+    p.cos = static_cast<std::uint8_t>(rng());
+    p.ip_ttl = static_cast<std::uint8_t>(rng());
+    const unsigned depth = pick(5);
+    for (unsigned d = 0; d < depth; ++d) {
+      // Mostly in range, sometimes up to 2^22 / CoS 15.
+      const std::uint32_t label =
+          pick(4) == 0 ? pick(1u << 22) : pick(kMaxLabel + 1);
+      const auto cos = static_cast<std::uint8_t>(pick(4) == 0 ? pick(16)
+                                                              : pick(8));
+      p.stack.push(LabelEntry{label, cos, false,
+                              static_cast<std::uint8_t>(rng())});
+    }
+    const std::size_t payload =
+        pick(4) == 0 ? 65535 - 3 + pick(7) : pick(200);
+    p.payload.assign(payload, static_cast<std::uint8_t>(trial));
+
+    const bool oracle = round_trip_reproduces(p);
+    ASSERT_EQ(core::IngressProcessor::wire_round_trip_ok(p), oracle)
+        << "trial " << trial << ": capacity " << capacity << ", "
+        << p.to_string();
+    ++(oracle ? accepted : rejected);
+  }
+  // Both verdicts must be well exercised, or the agreement is vacuous.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz, ::testing::Values(1u, 2u, 3u, 4u));
