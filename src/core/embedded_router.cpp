@@ -454,18 +454,13 @@ void EmbeddedRouter::process(Pending work) {
   }
 
   // The datapath is busy for the processing latency; only then does the
-  // next queued packet enter it.  On the fast path the engine-idle
-  // transition rides inside the launch event (same instant, same
-  // relative order, one event instead of two); the discard paths launch
-  // nothing, so they fall back to a dedicated event.  Legacy mode keeps
-  // the seed's split events.
-  const bool fuse = config_.serialize_engine && !net->legacy_fastpath();
-  if (config_.serialize_engine && !fuse) {
-    net->events().schedule_in(latency, [this] { engine_done(); });
-  }
-  const bool fused = launch(std::move(work), cls, before, outcome, latency,
-                            fuse, reason_override);
-  if (fuse && !fused) {
+  // next queued packet enter it.  The engine-idle transition rides
+  // inside the launch event (same instant, one event instead of two);
+  // the discard paths launch nothing, so they fall back to a dedicated
+  // event.
+  const bool launched = launch(std::move(work), cls, before, outcome,
+                               latency, reason_override);
+  if (config_.serialize_engine && !launched) {
     net->events().schedule_in(latency, [this] { engine_done(); });
   }
 }
@@ -474,7 +469,7 @@ bool EmbeddedRouter::launch(Pending work,
                             const IngressProcessor::Classification& cls,
                             const mpls::Packet& before,
                             const sw::UpdateOutcome& outcome,
-                            double latency, bool fuse_engine_done,
+                            double latency,
                             std::optional<obs::DropReason> reason_override) {
   net::Network* net = network();
   net::PacketHandle packet = std::move(work.packet);
@@ -499,9 +494,9 @@ bool EmbeddedRouter::launch(Pending work,
   }
 
   // Egress packet processing, then launch after the processing latency.
-  // When fused, engine_done() runs first inside the event — the same
-  // relative order the split formulation had.
+  // A serialised engine goes idle first inside the same event.
   EgressProcessor::finalize(*packet, outcome.ttl_after);
+  const bool fuse_engine_done = config_.serialize_engine;
   const mpls::InterfaceId out = *port;
   if (out == mpls::kLocalDeliver) {
     ++stats_.delivered_local;
@@ -524,7 +519,7 @@ bool EmbeddedRouter::launch(Pending work,
           send(std::move(p), out);
         });
   }
-  return fuse_engine_done;
+  return true;
 }
 
 }  // namespace empls::core

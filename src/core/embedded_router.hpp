@@ -189,17 +189,17 @@ class EmbeddedRouter : public net::Node {
   /// Run the label engine on one packet and launch the result.
   void process(Pending work);
   /// Post-engine half of process(): tap, discard accounting, next-hop
-  /// resolution, egress finalisation, and the delayed launch.  When
-  /// `fuse_engine_done` is set and a launch event is scheduled, the
-  /// engine-idle transition rides inside it (one event, not two);
-  /// returns whether it did, so process() can fall back to a separate
-  /// event on the discard paths.
+  /// resolution, egress finalisation, and the delayed launch.  With a
+  /// serialised engine the engine-idle transition rides inside the
+  /// launch event (one event, not two); returns whether a launch event
+  /// was scheduled, so process() can fall back to a separate event on
+  /// the discard paths.
   /// `reason_override`, when set, replaces the engine's discard reason
   /// (the guard's reprogram-admission refusal re-stamps a lookup miss as
   /// kReprogramRateLimited).
   bool launch(Pending work, const IngressProcessor::Classification& cls,
               const mpls::Packet& before, const sw::UpdateOutcome& outcome,
-              double latency, bool fuse_engine_done,
+              double latency,
               std::optional<obs::DropReason> reason_override);
   /// Start the next queued packet, if any (engine went idle).
   void engine_done();

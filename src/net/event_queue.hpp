@@ -5,24 +5,15 @@
 // the scales involved (nanosecond transmissions, millisecond windows)
 // stay well inside the 2^53 integer-exact range.
 //
-// Two interchangeable backends share the API and produce bit-identical
-// execution order:
-//   kHeap     — binary heap, O(log n) schedule/pop (the baseline);
-//   kCalendar — calendar queue (R. Brown, CACM 1988): time is hashed
-//               into width-sized bucket slots, so schedule and pop are
-//               O(1) amortized for the clustered event times traffic
-//               generates; a fallback that jumps to the earliest
-//               occupied slot keeps sparse or irregular workloads
-//               correct.
 // Callbacks are InlineEvents: move-only closures stored inline up to 64
 // bytes, so steady-state scheduling performs no heap allocation.
 //
-// Both backends order small keys {time, seq, body}, never the closures
-// themselves.  A closure is moved once into a slot of one shared body
-// slab (with a free list, so the slab never grows past the peak number
-// of pending events) and moved out once when its key reaches the top.
-// A heap sift or a bucket scan therefore moves plain integers and
-// doubles instead of relocating 80-byte closures through their vtables.
+// A binary heap orders small keys {time, seq, body}, never the closures
+// themselves.  A closure is moved once into a slot of a body slab (with
+// a free list, so the slab never grows past the peak number of pending
+// events) and moved out once when its key reaches the top.  A heap sift
+// therefore moves plain integers and doubles instead of relocating
+// 80-byte closures through their vtables.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +25,6 @@
 namespace empls::net {
 
 using SimTime = double;
-
-enum class SchedulerBackend : std::uint8_t { kHeap, kCalendar };
 
 class EventQueue {
  public:
@@ -57,8 +46,8 @@ class EventQueue {
   void schedule_event(SimTime at, InlineEvent fn);
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t pending() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Run events until the queue drains or `until` is passed (events
   /// scheduled later than `until` stay queued).  Returns the number of
@@ -69,9 +58,7 @@ class EventQueue {
   std::uint64_t run();
 
   /// Earliest pending event time, or +inf when the queue is empty.
-  /// Non-const: the calendar backend locates (and remembers) its minimum
-  /// key, and may halve its bucket array first, exactly as a pop would.
-  [[nodiscard]] SimTime next_time();
+  [[nodiscard]] SimTime next_time() const noexcept;
 
   /// Execute exactly one event (the global (time, seq) minimum).
   /// Returns false if the queue was empty.  Used by the deterministic
@@ -96,21 +83,12 @@ class EventQueue {
     }
   }
 
-  /// Select the scheduling backend.  Pending events migrate, so this may
-  /// be called at any point; execution order is unaffected (both
-  /// backends pop the global (time, seq) minimum).
-  void set_scheduler(SchedulerBackend backend);
-  [[nodiscard]] SchedulerBackend scheduler() const noexcept {
-    return backend_;
-  }
-
   struct Stats {
     std::uint64_t scheduled = 0;
     std::uint64_t executed = 0;
     std::uint64_t clamped = 0;        // schedule_at(at < now()) fixups
     std::uint64_t events_inline = 0;  // closures in the 64-byte buffer
     std::uint64_t events_heap_fallback = 0;  // oversized closures
-    std::uint64_t calendar_rebuilds = 0;  // bucket-array resizes
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -133,52 +111,17 @@ class EventQueue {
     std::uint64_t seq;
     std::uint32_t body;
   };
-  /// What a calendar bucket holds: a key plus its absolute slot number,
-  /// computed at insert so the bucket scan does pure integer compares.
-  struct SlottedKey : Key {
-    std::uint64_t slot;
-  };
-  struct Location {
-    std::size_t bucket;
-    std::size_t index;
-  };
 
   /// Move `fn` into a free slab slot and return its index.
   std::uint32_t store(InlineEvent&& fn);
-  /// Run the event behind `key`, already removed from the backend.
+  /// Run the event behind `key`, already removed from the heap.
   void execute(const Key& key);
 
   void push(const Key& key);
-  /// The global (time, seq) minimum, left queued; size_ > 0 required.
-  const Key& top();
-  /// Remove and return the global (time, seq) minimum; size_ > 0
-  /// required.
+  /// Remove and return the global (time, seq) minimum; the heap must
+  /// not be empty.
   Key pop();
 
-  // -- heap backend ------------------------------------------------------
-  void heap_push(const Key& key);
-  Key heap_pop();
-
-  // -- calendar backend --------------------------------------------------
-  void calendar_insert(const Key& key);
-  /// Remove the minimum key: the one top() found, else search for it.
-  Key calendar_pop();
-  /// Where the minimum key is, `count` keys being queued (pop() has
-  /// already taken its key off size_); moves the cursor to its slot.
-  Location calendar_find(std::size_t count);
-  void calendar_rebuild(std::size_t nbuckets);
-  /// Absolute slot number of time `t`.  Truncation == floor because the
-  /// clock is non-negative; one multiply instead of a divide.
-  [[nodiscard]] std::uint64_t slot_of(SimTime t) const {
-    return static_cast<std::uint64_t>(t * inv_width_);
-  }
-  /// Bucket count is always a power of two, so the hash is one AND.
-  [[nodiscard]] std::size_t bucket_of(std::uint64_t slot) const {
-    return static_cast<std::size_t>(slot) & mask_;
-  }
-
-  SchedulerBackend backend_ = SchedulerBackend::kHeap;
-  std::size_t size_ = 0;
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   Stats stats_;
@@ -188,22 +131,9 @@ class EventQueue {
   std::vector<InlineEvent> bodies_;
   std::vector<std::uint32_t> free_bodies_;
 
-  // Heap storage: a min-heap of keys over (time, seq), kept with
-  // std::push_heap / std::pop_heap.
+  // A min-heap of keys over (time, seq), kept with std::push_heap /
+  // std::pop_heap; heap_.front() is the next event.
   std::vector<Key> heap_;
-
-  // Calendar storage.  Slots are absolute (not wrapped) slot numbers.
-  // Width is applied as a cached reciprocal.
-  std::vector<std::vector<SlottedKey>> buckets_;
-  double width_ = 1e-3;      // bucket width in seconds
-  double inv_width_ = 1e3;   // 1 / width_, kept in sync by rebuild
-  std::size_t mask_ = 0;     // buckets_.size() - 1 (power of two)
-  std::uint64_t cursor_slot_ = 0;  // slot currently being drained
-  // Where top() last found the calendar minimum, so the pop that
-  // usually follows a peek does not scan again; valid until the next
-  // insert, pop or rebuild.
-  bool top_valid_ = false;
-  Location top_{};
 };
 
 }  // namespace empls::net

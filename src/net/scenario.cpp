@@ -161,30 +161,9 @@ std::variant<Scenario, ScenarioError> Scenario::parse(std::string_view text) {
           return error("unknown qos option: " + tokens[i]);
         }
       }
-    } else if (cmd == "scheduler" || cmd.rfind("scheduler=", 0) == 0) {
-      // Accept both spellings: `scheduler calendar` and
-      // `scheduler=calendar`.
-      std::string value;
-      if (cmd == "scheduler") {
-        if (tokens.size() != 2) {
-          return error("scheduler needs: scheduler heap|calendar");
-        }
-        value = tokens[1];
-      } else {
-        if (tokens.size() != 1) {
-          return error("scheduler=<backend> takes no further tokens");
-        }
-        value = cmd.substr(std::string_view("scheduler=").size());
-      }
-      if (value == "heap") {
-        s.scheduler = SchedulerBackend::kHeap;
-      } else if (value == "calendar") {
-        s.scheduler = SchedulerBackend::kCalendar;
-      } else {
-        return error("unknown scheduler: " + value + " (heap|calendar)");
-      }
     } else if (cmd == "domains" || cmd.rfind("domains=", 0) == 0) {
-      // Event-domain partitioning; both spellings, like `scheduler`.
+      // Event-domain partitioning.  Accept both spellings: `domains 4`
+      // and `domains=4`.
       std::string value;
       if (cmd == "domains") {
         if (tokens.size() != 2) {
@@ -230,7 +209,7 @@ std::variant<Scenario, ScenarioError> Scenario::parse(std::string_view text) {
       }
     } else if (cmd == "trace" || cmd.rfind("trace=", 0) == 0 ||
                cmd == "metrics" || cmd.rfind("metrics=", 0) == 0) {
-      // Telemetry outputs; both spellings, like `scheduler`.  "off"
+      // Telemetry outputs; both spellings, like `domains`.  "off"
       // (the default) leaves the corresponding exporter unarmed.
       const bool is_trace = cmd[0] == 't';
       const char* name = is_trace ? "trace" : "metrics";

@@ -5,7 +5,6 @@
 //
 //   # comments and blank lines are ignored
 //   qos strict|fifo|wrr [capacity=64] [red]
-//   scheduler heap|calendar       # event-queue backend (also scheduler=..)
 //   domains <N>|auto              # event domains, 1 = off (also domains=..)
 //   sync deterministic|free       # domain sync mode (also sync=..)
 //   router <name> ler|lsr [engine=linear|hash|cam|trie|hw]
@@ -271,9 +270,6 @@ class Scenario {
   static std::variant<Scenario, ScenarioError> parse(std::string_view text);
 
   QosConfig qos;
-  /// `scheduler heap|calendar` (or `scheduler=..`): event-queue backend.
-  /// Both produce identical event order; calendar is the O(1) fast path.
-  SchedulerBackend scheduler = SchedulerBackend::kHeap;
   /// `domains <N>|auto` (or `domains=..`): partition the topology into
   /// N event domains (net/domain.hpp).  1 (the default) runs the plain
   /// single-queue simulator; 0 means "auto" — one domain per hardware

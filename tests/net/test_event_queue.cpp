@@ -1,6 +1,5 @@
 // Unit tests for the discrete-event scheduler: ordering, determinism,
-// bounded runs — run against both backends (heap and calendar), which
-// must be observationally identical.
+// bounded runs, and a differential against a sorted reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,18 +17,8 @@
 namespace empls::net {
 namespace {
 
-class EventQueueBackends
-    : public ::testing::TestWithParam<SchedulerBackend> {
- protected:
-  EventQueue make() {
-    EventQueue q;
-    q.set_scheduler(GetParam());
-    return q;
-  }
-};
-
-TEST_P(EventQueueBackends, RunsInTimeOrder) {
-  EventQueue q = make();
+TEST(EventQueue, RunsInTimeOrder) {
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(3.0, [&] { order.push_back(3); });
   q.schedule_at(1.0, [&] { order.push_back(1); });
@@ -39,8 +28,8 @@ TEST_P(EventQueueBackends, RunsInTimeOrder) {
   EXPECT_EQ(q.now(), 3.0);
 }
 
-TEST_P(EventQueueBackends, TiesRunInSchedulingOrder) {
-  EventQueue q = make();
+TEST(EventQueue, TiesRunInSchedulingOrder) {
+  EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     q.schedule_at(1.0, [&order, i] { order.push_back(i); });
@@ -49,8 +38,8 @@ TEST_P(EventQueueBackends, TiesRunInSchedulingOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST_P(EventQueueBackends, CallbacksMayScheduleMore) {
-  EventQueue q = make();
+TEST(EventQueue, CallbacksMayScheduleMore) {
+  EventQueue q;
   int fired = 0;
   std::function<void()> chain = [&] {
     ++fired;
@@ -64,8 +53,8 @@ TEST_P(EventQueueBackends, CallbacksMayScheduleMore) {
   EXPECT_DOUBLE_EQ(q.now(), 4.5);
 }
 
-TEST_P(EventQueueBackends, RunUntilLeavesLaterEventsQueued) {
-  EventQueue q = make();
+TEST(EventQueue, RunUntilLeavesLaterEventsQueued) {
+  EventQueue q;
   int fired = 0;
   q.schedule_at(1.0, [&] { ++fired; });
   q.schedule_at(5.0, [&] { ++fired; });
@@ -77,16 +66,16 @@ TEST_P(EventQueueBackends, RunUntilLeavesLaterEventsQueued) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST_P(EventQueueBackends, ScheduleInIsRelative) {
-  EventQueue q = make();
+TEST(EventQueue, ScheduleInIsRelative) {
+  EventQueue q;
   double seen = -1;
   q.schedule_at(2.0, [&] { q.schedule_in(1.5, [&] { seen = q.now(); }); });
   q.run();
   EXPECT_DOUBLE_EQ(seen, 3.5);
 }
 
-TEST_P(EventQueueBackends, EmptyQueueRunIsNoop) {
-  EventQueue q = make();
+TEST(EventQueue, EmptyQueueRunIsNoop) {
+  EventQueue q;
   EXPECT_EQ(q.run(), 0u);
   EXPECT_TRUE(q.empty());
 }
@@ -94,8 +83,8 @@ TEST_P(EventQueueBackends, EmptyQueueRunIsNoop) {
 // Regression: schedule_at used to accept a time in the past silently,
 // executing the event "before" already-executed ones and stepping the
 // clock backwards.  It must clamp to now() and count the fixup.
-TEST_P(EventQueueBackends, PastScheduleClampsToNow) {
-  EventQueue q = make();
+TEST(EventQueue, PastScheduleClampsToNow) {
+  EventQueue q;
   double ran_at = -1.0;
   q.schedule_at(2.0, [&] {
     q.schedule_at(1.0, [&] { ran_at = q.now(); });  // 1.0 < now()=2.0
@@ -107,8 +96,8 @@ TEST_P(EventQueueBackends, PastScheduleClampsToNow) {
   EXPECT_EQ(q.stats().clamped, 1u);
 }
 
-TEST_P(EventQueueBackends, ClampedEventRunsAfterSameTimeEvents) {
-  EventQueue q = make();
+TEST(EventQueue, ClampedEventRunsAfterSameTimeEvents) {
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(2.0, [&] {
     order.push_back(0);
@@ -120,9 +109,9 @@ TEST_P(EventQueueBackends, ClampedEventRunsAfterSameTimeEvents) {
       << "a clamped event keeps its (later) sequence number";
 }
 
-TEST_P(EventQueueBackends, MoveOnlyCallablesAreSupported) {
+TEST(EventQueue, MoveOnlyCallablesAreSupported) {
   // std::function required copyability; InlineEvent must not.
-  EventQueue q = make();
+  EventQueue q;
   auto token = std::make_unique<int>(42);
   int seen = 0;
   q.schedule_at(1.0, [t = std::move(token), &seen] { seen = *t; });
@@ -130,10 +119,9 @@ TEST_P(EventQueueBackends, MoveOnlyCallablesAreSupported) {
   EXPECT_EQ(seen, 42);
 }
 
-TEST_P(EventQueueBackends, SparseAndClusteredTimesBothOrder) {
-  // Mixes dense clusters with decade-apart gaps: exercises the calendar
-  // backend's cursor rotation and direct-search fallback.
-  EventQueue q = make();
+TEST(EventQueue, SparseAndClusteredTimesBothOrder) {
+  // Mixes dense clusters with decade-apart gaps.
+  EventQueue q;
   std::vector<double> times;
   for (double base : {0.0, 1e-6, 1.0, 1e3, 1e6}) {
     for (int i = 0; i < 20; ++i) {
@@ -151,8 +139,8 @@ TEST_P(EventQueueBackends, SparseAndClusteredTimesBothOrder) {
   EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
 }
 
-TEST_P(EventQueueBackends, WindowEdgeTiesAndPeeks) {
-  EventQueue q = make();
+TEST(EventQueue, WindowEdgeTiesAndPeeks) {
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(1.0, [&] { order.push_back(0); });
   q.schedule_at(1.0, [&] { order.push_back(1); });
@@ -173,10 +161,9 @@ TEST_P(EventQueueBackends, WindowEdgeTiesAndPeeks) {
 // keys is kept in lockstep with the queue; every callback checks that it
 // is the shadow's minimum.  The harness mixes randomized schedules on a
 // coarse grid (so times tie exactly), callbacks that schedule children
-// (some in the past, so they clamp) and switch the backend while they
-// run, bounded runs whose horizon is exactly a pending time, next_time()
-// and pending() checks, single steps, and backend migrations between
-// operations.  It also pins that the closure slab is recycled: it holds
+// (some in the past, so they clamp), bounded runs whose horizon is
+// exactly a pending time, next_time() and pending() checks, and single
+// steps.  It also pins that the closure slab is recycled: it holds
 // exactly as many slots as events were ever pending at once.
 class ReferenceHarness {
  public:
@@ -192,7 +179,7 @@ class ReferenceHarness {
 
   void drive() {
     for (int op = 0; op < 400; ++op) {
-      switch (pick(8)) {
+      switch (pick(7)) {
         case 0:
         case 1:
           for (unsigned n = 1 + pick(12); n > 0; --n) {
@@ -212,9 +199,6 @@ class ReferenceHarness {
         case 5:
           EXPECT_EQ(q_.step(), !ref_.empty());
           break;
-        case 6:
-          toggle_backend();
-          break;
         default:
           EXPECT_EQ(q_.pending(), ref_.size());
           break;
@@ -225,7 +209,6 @@ class ReferenceHarness {
     EXPECT_EQ(mismatches_, 0u) << "callbacks ran out of (time, seq) order";
     EXPECT_EQ(past_horizon_, 0u) << "bounded runs ran events past their end";
     EXPECT_GT(fired_, 1000u);
-    EXPECT_GT(toggles_, 10u);
     EXPECT_EQ(q_.body_slots(), peak_pending_);
   }
 
@@ -278,13 +261,6 @@ class ReferenceHarness {
     EXPECT_EQ(q_.now(), std::max(before, end));
   }
 
-  void toggle_backend() {
-    ++toggles_;
-    q_.set_scheduler(q_.scheduler() == SchedulerBackend::kHeap
-                         ? SchedulerBackend::kCalendar
-                         : SchedulerBackend::kHeap);
-  }
-
   void fire(double t, std::uint64_t seq) {
     ++fired_;
     if (ref_.empty() || *ref_.begin() != std::make_pair(t, seq) ||
@@ -301,9 +277,6 @@ class ReferenceHarness {
         schedule(pick(8) == 0 ? q_.now() - 0.5 : q_.now() + grid_delay());
       }
     }
-    if (pick(20) == 0) {
-      toggle_backend();  // migrate while this closure is running
-    }
   }
 
   EventQueue& q_;
@@ -317,22 +290,21 @@ class ReferenceHarness {
   // The end of the bounded run in progress, if any.
   double horizon_ = std::numeric_limits<double>::infinity();
   bool horizon_inclusive_ = true;
-  unsigned toggles_ = 0;
 };
 
-TEST_P(EventQueueBackends, MatchesSortedReferenceUnderRandomSchedules) {
+TEST(EventQueue, MatchesSortedReferenceUnderRandomSchedules) {
   for (unsigned seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE(seed);
-    EventQueue q = make();
+    EventQueue q;
     ReferenceHarness harness(q, seed);
     harness.drive();
   }
 }
 
-TEST_P(EventQueueBackends, BodySlabIsRecycledInSteadyState) {
+TEST(EventQueue, BodySlabIsRecycledInSteadyState) {
   // 64 self-rescheduling timers: at most 64 pending, however many events
   // execute.
-  EventQueue q = make();
+  EventQueue q;
   constexpr unsigned kTimers = 64;
   std::uint64_t remaining = 200000;
   struct Timer {
@@ -354,13 +326,6 @@ TEST_P(EventQueueBackends, BodySlabIsRecycledInSteadyState) {
   EXPECT_EQ(q.body_slots(), kTimers);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, EventQueueBackends,
-    ::testing::Values(SchedulerBackend::kHeap, SchedulerBackend::kCalendar),
-    [](const auto& info) {
-      return info.param == SchedulerBackend::kHeap ? "Heap" : "Calendar";
-    });
-
 TEST(EventQueue, InlineAndHeapFallbackAreCounted) {
   EventQueue q;
   q.schedule_at(1.0, [] {});  // captureless: inline
@@ -374,50 +339,6 @@ TEST(EventQueue, InlineAndHeapFallbackAreCounted) {
   EXPECT_EQ(q.stats().events_heap_fallback, 1u);
   EXPECT_EQ(q.stats().scheduled, 2u);
   EXPECT_EQ(q.stats().executed, 2u);
-}
-
-TEST(EventQueue, SwitchingBackendMidRunPreservesOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    q.schedule_at(1.0 + i * 0.25, [&order, i] { order.push_back(i); });
-  }
-  q.run_until(1.6);  // runs 0, 1, 2
-  q.set_scheduler(SchedulerBackend::kCalendar);
-  q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-// Golden-trace equivalence: a randomized workload (including events that
-// schedule further events) must execute in the exact same order on both
-// backends.
-TEST(EventQueue, RandomizedTraceIsBackendIdentical) {
-  auto trace_with = [](SchedulerBackend backend) {
-    EventQueue q;
-    q.set_scheduler(backend);
-    std::vector<std::pair<double, int>> trace;
-    std::mt19937 rng(12345);
-    std::uniform_real_distribution<double> when(0.0, 10.0);
-    std::uniform_int_distribution<int> coin(0, 3);
-    int next_id = 0;
-    std::function<void(int)> fire = [&](int id) {
-      trace.emplace_back(q.now(), id);
-      if (coin(rng) == 0 && next_id < 4000) {
-        const int child = next_id++;
-        q.schedule_in(when(rng) * 0.1, [&fire, child] { fire(child); });
-      }
-    };
-    for (int i = 0; i < 1000; ++i) {
-      const int id = next_id++;
-      q.schedule_at(when(rng), [&fire, id] { fire(id); });
-    }
-    q.run();
-    return trace;
-  };
-  const auto heap = trace_with(SchedulerBackend::kHeap);
-  const auto calendar = trace_with(SchedulerBackend::kCalendar);
-  ASSERT_EQ(heap.size(), calendar.size());
-  EXPECT_EQ(heap, calendar);
 }
 
 }  // namespace

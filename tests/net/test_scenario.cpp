@@ -139,6 +139,19 @@ TEST(ScenarioParse, RejectsUnknownDirective) {
   EXPECT_EQ(parse_err("teleport A B\n").line, 1);
 }
 
+TEST(ScenarioParse, RetiredSchedulerDirectiveIsRejected) {
+  // The simulator has one event queue; a leftover `scheduler` line in
+  // either spelling is a line-numbered diagnostic, never ignored.
+  for (const char* line : {"scheduler heap", "scheduler=heap"}) {
+    const auto err =
+        parse_err(std::string("router A ler\n") + line + "\nrouter B ler\n");
+    EXPECT_EQ(err.line, 2) << line;
+    EXPECT_NE(err.message.find("unknown directive: scheduler"),
+              std::string::npos)
+        << line;
+  }
+}
+
 TEST(ScenarioParse, RejectsDuplicateRouter) {
   const auto err = parse_err("router A ler\nrouter A lsr\n");
   EXPECT_EQ(err.line, 2);
