@@ -386,7 +386,12 @@ void EmbeddedRouter::process(Pending work) {
   }
 
   const auto cls = work.cls;
-  const mpls::Packet before = tap_ ? *work.packet : mpls::Packet();
+  // The tap sees the packet before and after the update; only a tapped
+  // router pays for the copy.
+  std::optional<mpls::Packet> before;
+  if (tap_) {
+    before.emplace(*work.packet);
+  }
 
   // Label stack modifier — or the flow cache standing in for it: a live
   // cached binding replays the identical update without the engine's
@@ -467,7 +472,7 @@ void EmbeddedRouter::process(Pending work) {
 
 bool EmbeddedRouter::launch(Pending work,
                             const IngressProcessor::Classification& cls,
-                            const mpls::Packet& before,
+                            const std::optional<mpls::Packet>& before,
                             const sw::UpdateOutcome& outcome,
                             double latency,
                             std::optional<obs::DropReason> reason_override) {
@@ -475,7 +480,7 @@ bool EmbeddedRouter::launch(Pending work,
   net::PacketHandle packet = std::move(work.packet);
 
   if (tap_) {
-    tap_(*this, before, *packet, outcome.applied, outcome.discarded);
+    tap_(*this, *before, *packet, outcome.applied, outcome.discarded);
   }
   if (outcome.discarded) {
     ++stats_.discarded;

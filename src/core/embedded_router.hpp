@@ -196,9 +196,11 @@ class EmbeddedRouter : public net::Node {
   /// the discard paths.
   /// `reason_override`, when set, replaces the engine's discard reason
   /// (the guard's reprogram-admission refusal re-stamps a lookup miss as
-  /// kReprogramRateLimited).
+  /// kReprogramRateLimited).  `before` holds the pre-update packet
+  /// exactly when a tap is set.
   bool launch(Pending work, const IngressProcessor::Classification& cls,
-              const mpls::Packet& before, const sw::UpdateOutcome& outcome,
+              const std::optional<mpls::Packet>& before,
+              const sw::UpdateOutcome& outcome,
               double latency,
               std::optional<obs::DropReason> reason_override);
   /// Start the next queued packet, if any (engine went idle).

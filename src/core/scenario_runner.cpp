@@ -580,14 +580,18 @@ std::variant<ScenarioRunner::Report, net::ScenarioError> ScenarioRunner::run(
   // runs don't drift).  Pre-scheduling — rather than self-rescheduling —
   // keeps the post-window drain (`net.run()` to idle) from being held
   // open forever by the sampler itself.  Each tick refreshes the
-  // registry from the live simulation, then samples the deltas.
+  // registry from the live simulation, then samples the deltas.  The
+  // ticks come in time order, so they wait on one lane rather than all
+  // sitting in the event heap for the whole run.
   if (timeline) {
     const net::SimTime dt = *scenario.sample_interval;
     const net::SimTime dur = *scenario.run_duration;  // parser-guaranteed
     const auto ticks = static_cast<std::uint64_t>(dur / dt + 1e-9);
+    const net::EventQueue::LaneId lane = net.events().open_lane();
     for (std::uint64_t k = 1; k <= ticks; ++k) {
-      net.events().schedule_at(
-          dt * static_cast<double>(k), [&net, m = metrics.get(), tl = &*timeline] {
+      net.events().schedule_on(
+          lane, dt * static_cast<double>(k),
+          [&net, m = metrics.get(), tl = &*timeline] {
             net.export_metrics(*m);
             tl->sample(*m, net.now());
           });

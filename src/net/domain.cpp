@@ -94,6 +94,9 @@ DomainRuntime::DomainRuntime(Network& net,
         slot = rings_.back().get();
         slot->src = s;
         slot->dst = d;
+        // A ring delivers in push order; fed by one link, that is time
+        // order, so its arrivals wait on one lane of the destination.
+        slot->lane = queues_[d]->open_lane();
       }
       ++slot->links;
       Ring* ring = slot;
@@ -161,8 +164,8 @@ void DomainRuntime::deliver_handoff(Ring& r, const Handoff& h) {
     }
   }
   Node* node = &net_.node(h.dst_node);
-  queues_[r.dst]->schedule_at(
-      h.at, [node, dst_if = h.dst_if, p = std::move(p)]() mutable {
+  queues_[r.dst]->schedule_on(
+      r.lane, h.at, [node, dst_if = h.dst_if, p = std::move(p)]() mutable {
         node->receive(std::move(p), dst_if);
       });
   ++counters_[r.dst].c.handoffs_in;
@@ -427,6 +430,8 @@ EventQueue::Stats DomainRuntime::queue_stats() const {
     out.clamped += s.clamped;
     out.events_inline += s.events_inline;
     out.events_heap_fallback += s.events_heap_fallback;
+    out.lane_filed += s.lane_filed;
+    out.lane_fallbacks += s.lane_fallbacks;
   }
   return out;
 }

@@ -211,6 +211,7 @@ class DomainRuntime {
     std::uint32_t src = 0;
     std::uint32_t dst = 0;
     std::size_t links = 0;  // directed boundary links feeding this ring
+    EventQueue::LaneId lane = EventQueue::kNoLane;  // in dst's queue
   };
 
   struct alignas(64) PaddedCounters {

@@ -21,7 +21,12 @@ struct Later {
 
 }  // namespace
 
-void EventQueue::schedule_event(SimTime at, InlineEvent fn) {
+EventQueue::LaneId EventQueue::open_lane() {
+  lanes_.emplace_back();
+  return static_cast<LaneId>(lanes_.size() - 1);
+}
+
+void EventQueue::schedule_event(SimTime at, InlineEvent fn, LaneId lane) {
   if (at < now_) {
     // Time travel: the caller computed a deadline that already passed
     // (e.g. a zero-length timer rounded down).  Run it "immediately"
@@ -35,7 +40,44 @@ void EventQueue::schedule_event(SimTime at, InlineEvent fn) {
   } else {
     ++stats_.events_heap_fallback;
   }
-  push(Key{at, next_seq_++, store(std::move(fn))});
+  const Key key{at, next_seq_++, store(std::move(fn)), lane};
+  if (lane == kNoLane) {
+    push(key);
+    return;
+  }
+  Lane& l = lanes_[lane];
+  if (!l.active) {
+    l.active = true;
+    l.tail = at;
+    push(key);
+    return;
+  }
+  if (at < l.tail) {
+    // Filing it would unsort the lane; as an ordinary heap key it still
+    // runs at its own (time, seq).
+    ++stats_.lane_fallbacks;
+    push(Key{at, key.seq, key.body, kNoLane});
+    return;
+  }
+  l.tail = at;
+  append(l, key);
+}
+
+void EventQueue::append(Lane& lane, const Key& key) {
+  const std::size_t cap = lane.ring.size();
+  if (lane.count == cap) {
+    // Grow to the next power of two, unrolling the ring oldest first.
+    std::vector<Key> grown(cap == 0 ? 8 : cap * 2);
+    for (std::uint32_t i = 0; i < lane.count; ++i) {
+      grown[i] = lane.ring[(lane.first + i) & (cap - 1)];
+    }
+    lane.ring = std::move(grown);
+    lane.first = 0;
+  }
+  lane.ring[(lane.first + lane.count) & (lane.ring.size() - 1)] = key;
+  ++lane.count;
+  ++lane_waiting_;
+  ++stats_.lane_filed;
 }
 
 std::uint32_t EventQueue::store(InlineEvent&& fn) {
@@ -65,10 +107,40 @@ void EventQueue::push(const Key& key) {
 
 EventQueue::Key EventQueue::pop() {
   assert(!heap_.empty());
+  const Key top = heap_.front();
+  if (top.lane != kNoLane) {
+    Lane& l = lanes_[top.lane];
+    if (l.count > 0) {
+      // The lane's next key is its minimum: it takes the head's place.
+      const Key next = l.ring[l.first];
+      l.first = (l.first + 1) & static_cast<std::uint32_t>(l.ring.size() - 1);
+      --l.count;
+      --lane_waiting_;
+      replace_top(next);
+      return top;
+    }
+    l.active = false;
+  }
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Key key = heap_.back();
   heap_.pop_back();
-  return key;
+  return top;
+}
+
+void EventQueue::replace_top(const Key& key) {
+  const Later later;
+  const std::size_t n = heap_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && later(heap_[child], heap_[child + 1])) {
+      ++child;  // the earlier of the two children
+    }
+    if (!later(key, heap_[child])) {
+      break;
+    }
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = key;
 }
 
 std::uint64_t EventQueue::run_until(SimTime until) {

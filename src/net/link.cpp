@@ -26,6 +26,7 @@ void Link::drop(const mpls::Packet& packet, obs::DropReason reason) {
 Link::Link(EventQueue& events, Node* dst, mpls::InterfaceId dst_in_if,
            double bandwidth_bps, SimTime prop_delay_s, QosConfig qos)
     : events_(&events),
+      arrivals_(events.open_lane()),
       dst_(dst),
       dst_in_if_(dst_in_if),
       bandwidth_(bandwidth_bps),
@@ -102,9 +103,10 @@ void Link::begin_tx(PacketHandle packet) {
     handoff_hook_(arrive_at, std::move(packet));
     return;
   }
-  events_->schedule_at(arrive_at, [this, p = std::move(packet)]() mutable {
-    dst_->receive(std::move(p), dst_in_if_);
-  });
+  events_->schedule_on(arrivals_, arrive_at,
+                       [this, p = std::move(packet)]() mutable {
+                         dst_->receive(std::move(p), dst_in_if_);
+                       });
 }
 
 void Link::drain() {

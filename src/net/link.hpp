@@ -70,8 +70,14 @@ class Link {
   /// that domain's queue.  When the destination lives in another domain
   /// the handoff hook replaces the arrival event — the transmitter
   /// calls it with the computed arrival time and the packet,
-  /// and the domain runtime carries both across the boundary.
-  void rebind_events(EventQueue& events) noexcept { events_ = &events; }
+  /// and the domain runtime carries both across the boundary.  Arrivals
+  /// already scheduled stay on the old queue's lane.
+  void rebind_events(EventQueue& events) {
+    if (&events != events_) {
+      events_ = &events;
+      arrivals_ = events.open_lane();
+    }
+  }
   using HandoffHook = std::function<void(SimTime arrive_at, PacketHandle)>;
   void set_handoff_hook(HandoffHook hook) { handoff_hook_ = std::move(hook); }
   [[nodiscard]] bool has_handoff_hook() const noexcept {
@@ -104,6 +110,9 @@ class Link {
   void drain();
 
   EventQueue* events_;
+  // Arrival times never decrease (busy_until_ + prop_delay_), so the
+  // packets on the wire wait on one lane of events_.
+  EventQueue::LaneId arrivals_;
   Node* dst_;
   mpls::InterfaceId dst_in_if_;
   double bandwidth_;

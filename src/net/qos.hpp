@@ -65,14 +65,22 @@ class PacketRing {
   }
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
 
+  // The capacity is the configured queue depth, not a power of two, so
+  // indices wrap with a compare instead of a mask (or a division).
   void push(PacketHandle p) noexcept {
-    slots_[(head_ + count_) % slots_.size()] = std::move(p);
+    std::size_t tail = head_ + count_;
+    if (tail >= slots_.size()) {
+      tail -= slots_.size();
+    }
+    slots_[tail] = std::move(p);
     ++count_;
   }
 
   PacketHandle pop() noexcept {
     PacketHandle p = std::move(slots_[head_]);
-    head_ = (head_ + 1) % slots_.size();
+    if (++head_ == slots_.size()) {
+      head_ = 0;
+    }
     --count_;
     return p;
   }

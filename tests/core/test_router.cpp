@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/embedded_router.hpp"
 #include "hw/cycle_model.hpp"
+#include "mpls/fec.hpp"
+#include "net/ldp.hpp"
 #include "net/network.hpp"
+#include "net/traffic.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/trie_engine.hpp"
 
@@ -282,6 +287,58 @@ TEST(Router, BacklogDrainsOnePacketAtATimeInOrder) {
   EXPECT_EQ(sink.last.id, 11u);
   const rtl::ClockModel clock(rtl::ClockModel::kPaperFrequencyHz);
   EXPECT_GE(sink.arrival_time, clock.seconds(12 * hw::update_swap_cycles(1)));
+}
+
+// Lanes engage on real traffic: on the validated 8-node line (1 Gb/s,
+// 100 us links, four CBR flows) each link has many packets on its wire
+// at once, so most arrivals are filed behind their link's lane head
+// instead of entering the event heap.  A link's arrival times never
+// decrease, so none of them falls back to the heap.
+TEST(Router, ValidatedLineFilesMostArrivalsBehindLaneHeads) {
+  constexpr int kNodes = 8;
+  net::Network net;
+  net::ControlPlane cp(net);
+  std::vector<net::NodeId> ids;
+  for (int i = 0; i < kNodes; ++i) {
+    RouterConfig cfg;
+    ASSERT_TRUE(cfg.validate_wire) << "validation is the default";
+    cfg.type = (i == 0 || i == kNodes - 1) ? hw::RouterType::kLer
+                                           : hw::RouterType::kLsr;
+    std::string name = "R";
+    name += std::to_string(i);
+    auto r = std::make_unique<EmbeddedRouter>(
+        name, std::make_unique<sw::LinearEngine>(), cfg);
+    auto* raw = r.get();
+    ids.push_back(net.add_node(std::move(r)));
+    cp.register_router(ids.back(), &raw->routing());
+  }
+  for (int i = 0; i + 1 < kNodes; ++i) {
+    net.connect(ids[i], ids[i + 1], 1e9, 100e-6);
+  }
+  ASSERT_TRUE(cp.establish_lsp(ids, *mpls::Prefix::parse("10.1.0.0/16")));
+  const auto dst = *mpls::Ipv4Address::parse("10.1.0.9");
+  std::vector<std::unique_ptr<net::CbrSource>> sources;
+  for (std::uint32_t flow = 1; flow <= 4; ++flow) {
+    net::FlowSpec spec{flow, ids.front(), {}, dst,
+                       static_cast<std::uint8_t>(flow), 64, 0.0, 0.02};
+    sources.push_back(
+        std::make_unique<net::CbrSource>(net, spec, nullptr, 20e-6));
+    sources.back()->start();
+  }
+  net.run();
+
+  std::uint64_t arrivals = 0;
+  for (const net::NodeId id : ids) {
+    for (const net::Network::Adjacency& adj : net.adjacency(id)) {
+      arrivals += net.link_from(id, adj.port).stats().tx_packets;
+    }
+  }
+  const net::EventQueue::Stats& q = net.events().stats();
+  ASSERT_GT(net.delivered_count(), 3000u);
+  EXPECT_EQ(arrivals, net.delivered_count() * (kNodes - 1));
+  EXPECT_GT(q.lane_filed, arrivals * 9 / 10)
+      << q.lane_filed << " of " << arrivals << " arrivals filed";
+  EXPECT_EQ(q.lane_fallbacks, 0u);
 }
 
 }  // namespace

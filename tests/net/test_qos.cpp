@@ -1,5 +1,5 @@
-// Unit tests for the CoS queue set: classification, strict priority,
-// weighted round robin, tail drop, RED, and statistics.
+// Unit tests for the packet ring and the CoS queue set: classification,
+// strict priority, weighted round robin, tail drop, RED, and statistics.
 #include <gtest/gtest.h>
 
 #include "net/qos.hpp"
@@ -46,6 +46,33 @@ TEST(CosQueueSet, FifoIgnoresCos) {
   EXPECT_EQ(CosQueueSet::effective_cos(*q.dequeue()), 1u);
   EXPECT_EQ(CosQueueSet::effective_cos(*q.dequeue()), 7u);
   EXPECT_EQ(CosQueueSet::effective_cos(*q.dequeue()), 4u);
+}
+
+// The ring's capacity is the configured queue depth, in general not a
+// power of two: its indices must wrap at exactly that capacity, many
+// times over, without reordering or losing a packet.
+TEST(PacketRing, WrapsAtANonPowerOfTwoCapacityInFifoOrder) {
+  PacketRing ring(5);
+  std::uint64_t pushed = 0;
+  std::uint64_t popped = 0;
+  for (unsigned round = 0; round < 80; ++round) {
+    // Fill to a level that varies by round (up to full), then drain
+    // most of it, so head and tail cross the wrap point at every offset.
+    while (ring.size() < 1 + round % 5) {
+      mpls::Packet p;
+      p.id = pushed++;
+      ring.push(PacketHandle(std::move(p)));
+    }
+    EXPECT_EQ(ring.full(), round % 5 == 4);
+    while (ring.size() > round % 2) {
+      EXPECT_EQ(ring.pop()->id, popped++);
+    }
+  }
+  while (!ring.empty()) {
+    EXPECT_EQ(ring.pop()->id, popped++);
+  }
+  EXPECT_EQ(popped, pushed);
+  EXPECT_GE(pushed, 20u * 5) << "the ring wrapped at least 20 times";
 }
 
 TEST(CosQueueSet, TailDropAtCapacity) {
