@@ -245,7 +245,10 @@ DomainResult run_disconnected_lines(std::size_t domains,
       cfg.type = (i == 0 || i == kPerLine - 1) ? hw::RouterType::kLer
                                                : hw::RouterType::kLsr;
       cfg.validate_wire = false;
-      std::string name = "L" + std::to_string(l) + "R" + std::to_string(i);
+      std::string name = "L";
+      name += std::to_string(l);
+      name += 'R';
+      name += std::to_string(i);
       auto r = std::make_unique<core::EmbeddedRouter>(
           name, std::make_unique<sw::LinearEngine>(), cfg);
       auto* raw = r.get();

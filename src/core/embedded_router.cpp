@@ -101,7 +101,7 @@ std::size_t EmbeddedRouter::cache_slot(unsigned level,
 const EmbeddedRouter::CacheEntry* EmbeddedRouter::cache_probe(unsigned level,
                                                               rtl::u32 key) {
   const CacheEntry& e = flow_cache_[cache_slot(level, key)];
-  if (!e.valid || e.level != level || e.key != key) {
+  if (e.level != level || e.key != key) {
     ++cache_stats_.misses;
     return nullptr;
   }
@@ -126,8 +126,9 @@ void EmbeddedRouter::cache_fill(unsigned level, rtl::u32 key) {
     return;
   }
   flow_cache_[cache_slot(level, key)] =
-      CacheEntry{true,  level, key, engine_->epoch(),
-                 *pair, engine_->last_lookup_cost_cycles()};
+      CacheEntry{level, key, engine_->epoch(), *pair,
+                 engine_->last_lookup_cost_cycles(),
+                 routing_.out_port(level, key)};
   ++cache_stats_.insertions;
 }
 
@@ -463,8 +464,8 @@ void EmbeddedRouter::process(Pending work) {
   // inside the launch event (same instant, one event instead of two);
   // the discard paths launch nothing, so they fall back to a dedicated
   // event.
-  const bool launched = launch(std::move(work), cls, before, outcome,
-                               latency, reason_override);
+  const bool launched = launch(std::move(work), cls, cached, before,
+                               outcome, latency, reason_override);
   if (config_.serialize_engine && !launched) {
     net->events().schedule_in(latency, [this] { engine_done(); });
   }
@@ -472,6 +473,7 @@ void EmbeddedRouter::process(Pending work) {
 
 bool EmbeddedRouter::launch(Pending work,
                             const IngressProcessor::Classification& cls,
+                            const CacheEntry* cached,
                             const std::optional<mpls::Packet>& before,
                             const sw::UpdateOutcome& outcome,
                             double latency,
@@ -490,8 +492,10 @@ bool EmbeddedRouter::launch(Pending work,
   }
   count_op(outcome.applied);
 
-  // Next-hop resolution is software state keyed by the pre-update key.
-  const auto port = routing_.out_port(cls.level, cls.key);
+  // Next-hop resolution is software state keyed by the pre-update key;
+  // a live cache line carries it.
+  const auto port =
+      cached != nullptr ? cached->port : routing_.out_port(cls.level, cls.key);
   if (!port) {
     ++stats_.discarded;  // control plane never told us where this goes
     net->notify_discard(id(), *packet, obs::DropReason::kNoRoute);

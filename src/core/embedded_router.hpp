@@ -185,6 +185,23 @@ class EmbeddedRouter : public net::Node {
     std::size_t count_ = 0;
   };
 
+  /// One direct-mapped flow-cache line.  `search_cycles` is the
+  /// engine's modelled search cost for this key (0 marks a
+  /// pure-software engine, where hw_cycles must stay 0 on a hit so the
+  /// sw latency model applies exactly as it does uncached).  `port` is
+  /// the routing functionality's next hop at fill time; the epoch
+  /// guards it too, since every change to the binding table goes
+  /// through write_pair or clear.  Level 0 marks an empty line (keys
+  /// live at levels 1..3), which keeps the line at 48 bytes.
+  struct CacheEntry {
+    unsigned level = 0;
+    rtl::u32 key = 0;
+    rtl::u64 epoch = 0;
+    mpls::LabelPair pair{};
+    rtl::u64 search_cycles = 0;
+    std::optional<mpls::InterfaceId> port;
+  };
+
   void count_op(mpls::LabelOp op);
   /// Run the label engine on one packet and launch the result.
   void process(Pending work);
@@ -197,8 +214,10 @@ class EmbeddedRouter : public net::Node {
   /// `reason_override`, when set, replaces the engine's discard reason
   /// (the guard's reprogram-admission refusal re-stamps a lookup miss as
   /// kReprogramRateLimited).  `before` holds the pre-update packet
-  /// exactly when a tap is set.
+  /// exactly when a tap is set.  `cached`, when set, supplies the next
+  /// hop without a binding-table probe.
   bool launch(Pending work, const IngressProcessor::Classification& cls,
+              const CacheEntry* cached,
               const std::optional<mpls::Packet>& before,
               const sw::UpdateOutcome& outcome,
               double latency,
@@ -206,18 +225,6 @@ class EmbeddedRouter : public net::Node {
   /// Start the next queued packet, if any (engine went idle).
   void engine_done();
 
-  /// One direct-mapped flow-cache line.  `search_cycles` is the
-  /// engine's modelled search cost for this key (0 marks a
-  /// pure-software engine, where hw_cycles must stay 0 on a hit so the
-  /// sw latency model applies exactly as it does uncached).
-  struct CacheEntry {
-    bool valid = false;
-    unsigned level = 0;
-    rtl::u32 key = 0;
-    rtl::u64 epoch = 0;
-    mpls::LabelPair pair{};
-    rtl::u64 search_cycles = 0;
-  };
   [[nodiscard]] std::size_t cache_slot(unsigned level,
                                        rtl::u32 key) const noexcept;
   /// Probe for a live entry: tag must match AND its epoch must equal the

@@ -1,6 +1,6 @@
 #include "core/routing_functionality.hpp"
 
-#include <iterator>
+#include <algorithm>
 
 namespace empls::core {
 
@@ -9,42 +9,38 @@ using mpls::LabelPair;
 
 void RoutingFunctionality::reprogram_hardware() {
   engine_->clear();
-  for (const auto& [key, pair] : programmed_) {
-    engine_->write_pair(key.first, pair);
+  for (const auto& slot : table_.sorted()) {
+    engine_->write_pair(slot.level(), slot.pair());
   }
   ++hardware_reprograms_;
 }
 
-bool RoutingFunctionality::bind(unsigned level, rtl::u32 key,
-                                const LabelPair& pair,
+bool RoutingFunctionality::bind(unsigned level, const LabelPair& pair,
                                 mpls::InterfaceId out_port) {
-  const auto mirror_key = std::make_pair(level, key);
-  const auto it = programmed_.find(mirror_key);
-  if (it != programmed_.end()) {
-    if (it->second == pair && out_ports_[mirror_key] == out_port) {
-      return true;  // identical binding: nothing to do
-    }
-    // Rebinding an existing key: the append-only, first-match hardware
-    // would keep serving the stale entry, so update the mirror and run
-    // the reset + reprogram flow the paper's worst case costs out.
-    it->second = pair;
-    out_ports_[mirror_key] = out_port;
-    reprogram_hardware();
-    return true;
+  if (pair.new_label > mpls::kMaxLabel) {
+    return false;  // not a 20-bit label: no information-base slot holds it
   }
-  if (!engine_->write_pair(level, pair)) {
+  const auto* slot = table_.find(level, pair.index);
+  const bool rebind = slot != nullptr;
+  if (rebind && slot->pair() == pair && slot->port == out_port) {
+    return true;  // identical binding: nothing to do
+  }
+  if (!rebind && !engine_->write_pair(level, pair)) {
     return false;  // information-base level full
   }
-  programmed_.emplace(mirror_key, pair);
-  out_ports_[mirror_key] = out_port;
+  table_.assign(level, pair, out_port);
+  if (rebind) {
+    // The append-only, first-match hardware would keep serving the stale
+    // entry: run the reset + reprogram flow the paper's worst case costs.
+    reprogram_hardware();
+  }
   return true;
 }
 
 bool RoutingFunctionality::program_ingress_exact(rtl::u32 packet_id,
                                                  rtl::u32 out_label,
                                                  mpls::InterfaceId out_port) {
-  return bind(1, packet_id, LabelPair{packet_id, out_label, LabelOp::kPush},
-              out_port);
+  return bind(1, LabelPair{packet_id, out_label, LabelOp::kPush}, out_port);
 }
 
 bool RoutingFunctionality::program_ingress_prefix(const mpls::Prefix& fec,
@@ -66,14 +62,10 @@ bool RoutingFunctionality::program_ingress_prefix(const mpls::Prefix& fec,
     // path derived from the old binding are stale.  Drop any entry the
     // prefix covers and reprogram; traffic re-installs them on demand.
     bool purged = false;
-    for (auto it = programmed_.begin(); it != programmed_.end();) {
-      if (it->first.first == 1 &&
-          fec.contains(mpls::Ipv4Address{it->first.second})) {
-        out_ports_.erase(it->first);
-        it = programmed_.erase(it);
+    for (const auto& slot : table_.entries()) {
+      if (slot.level() == 1 && fec.contains(mpls::Ipv4Address{slot.key})) {
+        table_.erase(1, slot.key);
         purged = true;
-      } else {
-        ++it;
       }
     }
     if (purged) {
@@ -93,52 +85,40 @@ bool RoutingFunctionality::program_local(const mpls::Prefix& fec) {
 bool RoutingFunctionality::program_swap(unsigned level, rtl::u32 in_label,
                                         rtl::u32 out_label,
                                         mpls::InterfaceId out_port) {
-  ilm_.bind(in_label, mpls::Nhlfe{LabelOp::kSwap, out_label, out_port});
-  return bind(level, in_label, LabelPair{in_label, out_label, LabelOp::kSwap},
-              out_port);
+  return bind(level, LabelPair{in_label, out_label, LabelOp::kSwap}, out_port);
 }
 
 bool RoutingFunctionality::program_pop(unsigned level, rtl::u32 in_label,
                                        mpls::InterfaceId out_port) {
-  ilm_.bind(in_label, mpls::Nhlfe{LabelOp::kPop, 0, out_port});
-  return bind(level, in_label, LabelPair{in_label, 0, LabelOp::kPop},
-              out_port);
+  return bind(level, LabelPair{in_label, 0, LabelOp::kPop}, out_port);
 }
 
 bool RoutingFunctionality::program_push(unsigned level, rtl::u32 in_label,
                                         rtl::u32 outer_label,
                                         mpls::InterfaceId out_port) {
-  ilm_.bind(in_label, mpls::Nhlfe{LabelOp::kPush, outer_label, out_port});
-  return bind(level, in_label,
-              LabelPair{in_label, outer_label, LabelOp::kPush}, out_port);
-}
-
-std::optional<mpls::InterfaceId> RoutingFunctionality::out_port(
-    unsigned level, rtl::u32 key) const {
-  const auto it = out_ports_.find({level, key});
-  if (it == out_ports_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
+  return bind(level, LabelPair{in_label, outer_label, LabelOp::kPush},
+              out_port);
 }
 
 bool RoutingFunctionality::corrupt_binding(std::uint64_t salt) {
-  if (programmed_.empty()) {
+  // The (salt % n)-th binding in (level, key) order.
+  auto slots = table_.entries();
+  if (slots.empty()) {
     return false;
   }
-  auto it = programmed_.begin();
-  std::advance(it, static_cast<std::ptrdiff_t>(salt % programmed_.size()));
-  const auto [level, key] = it->first;
+  const auto nth =
+      slots.begin() + static_cast<std::ptrdiff_t>(salt % slots.size());
+  std::nth_element(slots.begin(), nth, slots.end());
+  const LabelPair pair = nth->pair();
   // Flip label bits derived from the salt; never a no-op garble.
-  rtl::u32 garbled = (it->second.new_label ^
-                      static_cast<rtl::u32>(1 + salt / 7)) &
+  rtl::u32 garbled = (pair.new_label ^ static_cast<rtl::u32>(1 + salt / 7)) &
                      static_cast<rtl::u32>(mpls::kMaxLabel);
-  if (garbled == it->second.new_label) {
+  if (garbled == pair.new_label) {
     garbled ^= 1;
   }
-  // The engine's stored entry diverges; `programmed_` (the software
-  // mirror) deliberately does not — that is the fault model.
-  if (!engine_->corrupt_entry(level, key, garbled)) {
+  // The engine's stored entry diverges; `table_` deliberately does not —
+  // that is the fault model.
+  if (!engine_->corrupt_entry(nth->level(), pair.index, garbled)) {
     return false;
   }
   ++corruptions_;
@@ -146,10 +126,11 @@ bool RoutingFunctionality::corrupt_binding(std::uint64_t salt) {
 }
 
 unsigned RoutingFunctionality::resync_hardware() {
+  // Audit in replay order: an RTL-backed engine runs each lookup.
   unsigned divergent = 0;
-  for (const auto& [key, pair] : programmed_) {
-    const auto stored = engine_->lookup(key.first, pair.index);
-    if (!stored || !(*stored == pair)) {
+  for (const auto& slot : table_.sorted()) {
+    const auto stored = engine_->lookup(slot.level(), slot.key);
+    if (!stored || !(*stored == slot.pair())) {
       ++divergent;
     }
   }

@@ -1,7 +1,7 @@
 #include "mpls/tables.hpp"
 
-#include <algorithm>
 #include <sstream>
+#include <utility>
 
 namespace empls::mpls {
 
@@ -20,49 +20,12 @@ std::string Nhlfe::to_string() const {
   return out.str();
 }
 
-std::optional<Nhlfe> IlmTable::bind(std::uint32_t in_label,
-                                    const Nhlfe& nhlfe) {
-  const auto it = map_.find(in_label);
-  std::optional<Nhlfe> previous;
-  if (it != map_.end()) {
-    previous = it->second;
-  }
-  map_.insert_or_assign(in_label, nhlfe);
-  return previous;
-}
-
-bool IlmTable::unbind(std::uint32_t in_label) {
-  return map_.erase(in_label) > 0;
-}
-
-std::optional<Nhlfe> IlmTable::lookup(std::uint32_t in_label) const {
-  const auto it = map_.find(in_label);
-  if (it == map_.end()) {
+std::optional<Nhlfe> FtnTable::bind(std::uint32_t fec_id, const Nhlfe& nhlfe) {
+  const auto [it, inserted] = map_.try_emplace(fec_id, nhlfe);
+  if (inserted) {
     return std::nullopt;
   }
-  return it->second;
-}
-
-std::vector<LabelPair> IlmTable::to_label_pairs() const {
-  std::vector<LabelPair> out;
-  out.reserve(map_.size());
-  for (const auto& [in_label, nhlfe] : map_) {
-    out.push_back(LabelPair{in_label, nhlfe.out_label, nhlfe.op});
-  }
-  std::sort(out.begin(), out.end(), [](const LabelPair& a, const LabelPair& b) {
-    return a.index < b.index;
-  });
-  return out;
-}
-
-std::optional<Nhlfe> FtnTable::bind(std::uint32_t fec_id, const Nhlfe& nhlfe) {
-  const auto it = map_.find(fec_id);
-  std::optional<Nhlfe> previous;
-  if (it != map_.end()) {
-    previous = it->second;
-  }
-  map_.insert_or_assign(fec_id, nhlfe);
-  return previous;
+  return std::exchange(it->second, nhlfe);
 }
 
 bool FtnTable::unbind(std::uint32_t fec_id) { return map_.erase(fec_id) > 0; }
@@ -73,18 +36,6 @@ std::optional<Nhlfe> FtnTable::lookup(std::uint32_t fec_id) const {
     return std::nullopt;
   }
   return it->second;
-}
-
-std::vector<LabelPair> FtnTable::to_label_pairs() const {
-  std::vector<LabelPair> out;
-  out.reserve(map_.size());
-  for (const auto& [fec_id, nhlfe] : map_) {
-    out.push_back(LabelPair{fec_id, nhlfe.out_label, nhlfe.op});
-  }
-  std::sort(out.begin(), out.end(), [](const LabelPair& a, const LabelPair& b) {
-    return a.index < b.index;
-  });
-  return out;
 }
 
 std::optional<std::uint32_t> LabelAllocator::allocate() {

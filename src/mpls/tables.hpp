@@ -3,13 +3,9 @@
 // Standard MPLS data structures (RFC 3031 terminology):
 //   * NHLFE — Next Hop Label Forwarding Entry: the operation to perform,
 //     the outgoing label (for PUSH/SWAP), next hop and outgoing interface.
-//   * ILM — Incoming Label Map: incoming label → NHLFE (used by LSRs).
 //   * FTN — FEC-To-NHLFE: FEC id → NHLFE (used by ingress LERs).
-//
-// These are the control plane's view.  The hardware information base
-// (src/hw/info_base.hpp) is the data-plane mirror the routing
-// functionality programs from these tables; `to_label_pairs()` produces
-// exactly the (index, new label, operation) triples the hardware stores.
+// The label pairs an LSR's incoming label map programs into hardware live,
+// with their out ports, in the routing functionality's core::BindingTable.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +13,6 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "mpls/label.hpp"
 #include "mpls/operations.hpp"
@@ -49,25 +44,6 @@ struct LabelPair {
   friend bool operator==(const LabelPair&, const LabelPair&) = default;
 };
 
-/// Incoming Label Map: label → NHLFE.
-class IlmTable {
- public:
-  /// Bind `in_label`; returns the NHLFE it replaced, if any.
-  std::optional<Nhlfe> bind(std::uint32_t in_label, const Nhlfe& nhlfe);
-
-  bool unbind(std::uint32_t in_label);
-
-  [[nodiscard]] std::optional<Nhlfe> lookup(std::uint32_t in_label) const;
-
-  [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
-
-  /// The hardware-programming view: (in_label, out_label, op) triples.
-  [[nodiscard]] std::vector<LabelPair> to_label_pairs() const;
-
- private:
-  std::unordered_map<std::uint32_t, Nhlfe> map_;
-};
-
 /// FEC-To-NHLFE: FEC id → NHLFE (ingress LER only).
 class FtnTable {
  public:
@@ -78,8 +54,6 @@ class FtnTable {
   [[nodiscard]] std::optional<Nhlfe> lookup(std::uint32_t fec_id) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
-
-  [[nodiscard]] std::vector<LabelPair> to_label_pairs() const;
 
  private:
   std::unordered_map<std::uint32_t, Nhlfe> map_;

@@ -54,12 +54,8 @@ class FailureDetector {
   /// Extra notification on each declared failure (before rerouting) —
   /// e.g. LinkStateRouting::notify_link_change to flood the bad news,
   /// or ProtectionManager::on_connection_down to switch locally.
-  /// Hooks are multicast: add_ appends, set_ replaces them all.
+  /// Hooks are multicast: each add_ appends one.
   using FailureHook = std::function<void(NodeId a, NodeId b)>;
-  void set_on_failure(FailureHook hook) {
-    on_failure_.clear();
-    on_failure_.push_back(std::move(hook));
-  }
   void add_on_failure(FailureHook hook) {
     on_failure_.push_back(std::move(hook));
   }

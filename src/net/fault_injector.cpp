@@ -56,7 +56,7 @@ void FaultInjector::repair(std::size_t index) {
       break;
     case FaultKind::kCorrupt: {
       // The repair for silent corruption is the audit: compare hardware
-      // against the software mirror and reprogram on divergence.
+      // against the software binding table and reprogram on divergence.
       MplsNode* router = cp_->router_for(rec.spec.a);
       if (router != nullptr) {
         rec.resynced = router->resync_hardware();
@@ -204,17 +204,6 @@ void DropAccountant::account(std::uint32_t flow_id, obs::DropReason reason) {
 
 std::uint64_t DropAccountant::drops(std::uint32_t flow_id) const {
   return by_flow_.get(flow_id);
-}
-
-std::map<std::string, std::uint64_t> DropAccountant::by_reason() const {
-  std::map<std::string, std::uint64_t> out;
-  for (std::size_t i = 0; i < obs::kDropReasonCount; ++i) {
-    if (reasons_[i] > 0) {
-      out.emplace(obs::to_string(static_cast<obs::DropReason>(i)),
-                  reasons_[i]);
-    }
-  }
-  return out;
 }
 
 std::uint64_t DropAccountant::drops_in_range(std::uint32_t lo,

@@ -3,8 +3,8 @@
 // Robustness claims need adversarial inputs, not just the one scripted
 // cut: FaultInjector schedules link cuts, sub-detection-window flaps,
 // whole-node crashes and information-base corruptions (single-event
-// upsets that garble a programmed label while the software mirror stays
-// intact) against the running simulation.  Campaigns are generated from
+// upsets that garble a programmed label while the software binding table
+// stays intact) against the running simulation.  Campaigns are generated from
 // a seed (std::mt19937_64) over the actual topology, so a failing run
 // reproduces exactly from its seed.
 //
@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -121,21 +120,11 @@ class DropAccountant {
   [[nodiscard]] const obs::DropCounts& reason_counts() const noexcept {
     return reasons_;
   }
-  [[nodiscard]] std::uint64_t drops_for(obs::DropReason r) const noexcept {
-    return reasons_[static_cast<std::size_t>(r)];
-  }
-  /// Legacy string-keyed view, built on demand (reporting only).
-  [[nodiscard]] std::map<std::string, std::uint64_t> by_reason() const;
 
   /// Aggregate drops over a half-open flow-id range (used to close the
   /// books on an open-loop generator's id block without walking a map).
   [[nodiscard]] std::uint64_t drops_in_range(std::uint32_t lo,
                                              std::uint32_t hi) const;
-
-  /// Distinct flows that lost at least one packet.
-  [[nodiscard]] std::size_t flows_with_drops() const noexcept {
-    return by_flow_.size();
-  }
 
   /// True when every flow in `stats` conserves packets.
   [[nodiscard]] bool conserved(const FlowStats& stats) const;

@@ -118,10 +118,6 @@ class ControlPlane {
   /// Make `router` (the node's routing functionality) programmable.
   void register_router(NodeId id, MplsNode* router);
 
-  [[nodiscard]] bool is_registered(NodeId id) const {
-    return routers_.contains(id);
-  }
-
   // ---- path computation ----
 
   /// CSPF: minimum propagation delay path from `from` to `to` over links
@@ -218,9 +214,6 @@ class ControlPlane {
   /// gained a backup; tunnelled and merged LSPs are not handled.
   unsigned protect_lsp(LspId id, const ProtectOptions& options = {});
 
-  [[nodiscard]] std::size_t num_backups() const noexcept {
-    return backups_.size();
-  }
   [[nodiscard]] BackupRecord& backup(std::size_t index);
   [[nodiscard]] const BackupRecord& backup(std::size_t index) const;
 

@@ -72,10 +72,6 @@ class FlowLedger {
   [[nodiscard]] std::uint64_t delivered(std::uint32_t flow_id) const {
     return delivered_.get(flow_id);
   }
-  /// Distinct flows that sent at least one packet.
-  [[nodiscard]] std::size_t flow_count() const noexcept {
-    return sent_.size();
-  }
   [[nodiscard]] const obs::Histogram& latency_ns() const noexcept {
     return latency_ns_;
   }

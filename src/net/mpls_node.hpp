@@ -65,12 +65,12 @@ class MplsNode {
 
   /// Garble one programmed hardware binding chosen by `salt`, modelling
   /// a single-event upset in the information-base memory.  The software
-  /// mirror is left intact — that divergence is exactly what
+  /// binding table is left intact — that divergence is exactly what
   /// resync_hardware() exists to find.  Returns false when the node has
   /// no corruptible hardware state.
   virtual bool corrupt_binding(std::uint64_t /*salt*/) { return false; }
 
-  /// Audit the hardware against the software mirror and reprogram when
+  /// Audit the hardware against the software bindings and reprogram when
   /// they diverge.  Returns the number of divergent entries repaired.
   virtual unsigned resync_hardware() { return 0; }
 };

@@ -237,5 +237,50 @@ TEST(FlowCache, RewritingTheSameBindingStillInvalidates) {
       << router->cache_stats().summary();
 }
 
+// A cache line carries the next hop as well as the label pair.  A rebind
+// that changes only the port goes through the reset + reprogram flow,
+// whose clear() moves the epoch, so the very next packet must leave on
+// the new port rather than on the port its cache line remembered.
+TEST(FlowCache, PortOnlyRebindSendsTheNextPacketOutTheNewPort) {
+  class Counter : public net::Node {
+   public:
+    using Node::Node;
+    void receive(net::PacketHandle, mpls::InterfaceId) override { ++count; }
+    int count = 0;
+  };
+  net::Network net;
+  RouterConfig cfg;
+  cfg.flow_cache_entries = 64;
+  const auto r = net.add_node(std::make_unique<EmbeddedRouter>(
+      "R", std::make_unique<sw::TrieEngine>(), cfg));
+  const auto s0 = net.add_node(std::make_unique<Counter>("s0"));
+  const auto s1 = net.add_node(std::make_unique<Counter>("s1"));
+  const auto p0 = net.connect(r, s0, 1e9, 0.0).a_to_b;
+  const auto p1 = net.connect(r, s1, 1e9, 0.0).a_to_b;
+  auto& router = net.node_as<EmbeddedRouter>(r);
+  auto send = [&] {
+    mpls::Packet p;
+    p.stack.push(mpls::LabelEntry{40, 0, false, 64});
+    net.inject(r, std::move(p));
+    net.run();
+  };
+
+  ASSERT_TRUE(router.routing().program_swap(2, 40, 77, p0));
+  send();
+  send();
+  ASSERT_EQ(router.cache_stats().hits, 1u) << "second packet hit the line";
+  EXPECT_EQ(net.node_as<Counter>(s0).count, 2);
+
+  ASSERT_TRUE(router.routing().program_swap(2, 40, 77, p1));
+  EXPECT_EQ(router.routing().hardware_reprograms(), 1u);
+  send();
+  EXPECT_EQ(net.node_as<Counter>(s1).count, 1) << "stale cached port used";
+  EXPECT_EQ(router.cache_stats().invalidations, 1u);
+  send();
+  EXPECT_EQ(router.cache_stats().hits, 2u);
+  EXPECT_EQ(net.node_as<Counter>(s1).count, 2);
+  EXPECT_EQ(net.node_as<Counter>(s0).count, 2);
+}
+
 }  // namespace
 }  // namespace empls::core

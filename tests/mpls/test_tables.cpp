@@ -1,4 +1,4 @@
-// Unit tests for the software forwarding tables (ILM, FTN) and the
+// Unit tests for the software forwarding tables (FTN, NHLFE) and the
 // label allocator.
 #include <gtest/gtest.h>
 
@@ -6,36 +6,6 @@
 
 namespace empls::mpls {
 namespace {
-
-TEST(IlmTable, BindLookupUnbind) {
-  IlmTable ilm;
-  const Nhlfe n1{LabelOp::kSwap, 200, 3};
-  EXPECT_FALSE(ilm.bind(100, n1).has_value());
-  EXPECT_EQ(ilm.lookup(100), n1);
-  EXPECT_FALSE(ilm.lookup(101).has_value());
-
-  const Nhlfe n2{LabelOp::kPop, 0, kLocalDeliver};
-  const auto previous = ilm.bind(100, n2);
-  ASSERT_TRUE(previous.has_value());
-  EXPECT_EQ(*previous, n1);
-  EXPECT_EQ(ilm.lookup(100), n2);
-
-  EXPECT_TRUE(ilm.unbind(100));
-  EXPECT_FALSE(ilm.unbind(100));
-  EXPECT_EQ(ilm.size(), 0u);
-}
-
-TEST(IlmTable, ToLabelPairsIsSortedAndComplete) {
-  IlmTable ilm;
-  ilm.bind(300, Nhlfe{LabelOp::kSwap, 301, 0});
-  ilm.bind(100, Nhlfe{LabelOp::kPop, 0, kLocalDeliver});
-  ilm.bind(200, Nhlfe{LabelOp::kPush, 201, 1});
-  const auto pairs = ilm.to_label_pairs();
-  ASSERT_EQ(pairs.size(), 3u);
-  EXPECT_EQ(pairs[0], (LabelPair{100, 0, LabelOp::kPop}));
-  EXPECT_EQ(pairs[1], (LabelPair{200, 201, LabelOp::kPush}));
-  EXPECT_EQ(pairs[2], (LabelPair{300, 301, LabelOp::kSwap}));
-}
 
 TEST(FtnTable, BindLookupUnbind) {
   FtnTable ftn;

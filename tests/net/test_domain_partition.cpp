@@ -336,8 +336,10 @@ TEST(DomainPartition, FreeModeProfilerAttributesTheWallTime) {
   constexpr NodeId kNodes = 16;  // two per domain under the block map
   std::vector<NodeId> chain;
   for (NodeId i = 0; i < kNodes - 1; ++i) {
-    chain.push_back(net.add_node(std::make_unique<RelayNode>(
-        "R" + std::to_string(i), i == 0 ? 0 : 1)));
+    std::string name = "R";
+    name += std::to_string(i);
+    chain.push_back(net.add_node(
+        std::make_unique<RelayNode>(name, i == 0 ? 0 : 1)));
   }
   chain.push_back(net.add_node(std::make_unique<SinkNode>("S")));
   for (NodeId i = 0; i + 1 < kNodes; ++i) {
