@@ -14,10 +14,10 @@
 // latency/area trade-off the paper's choice sits on.
 #include <string>
 
+#include "baseline_engines.hpp"
 #include "bench_util.hpp"
 #include "hw/cycle_model.hpp"
 #include "rtl/clock_model.hpp"
-#include "sw/cam_engine.hpp"
 
 using namespace empls;
 
@@ -43,9 +43,9 @@ int main() {
     char cus[32];
     std::snprintf(lus, sizeof lus, "%.2f", clock.microseconds(linear));
     std::snprintf(cus, sizeof cus, "%.2f",
-                  clock.microseconds(sw::kCamSearchCycles));
+                  clock.microseconds(bench::kCamSearchCycles));
     lat.add_row({std::to_string(k), std::to_string(linear),
-                 std::to_string(sw::kCamSearchCycles),
+                 std::to_string(bench::kCamSearchCycles),
                  std::to_string(kHashSearchCycles), lus, cus});
   }
   lat.print();
@@ -56,8 +56,8 @@ int main() {
                     "levels 2/3 (20-bit idx)", "extra logic"});
   res.add_row({"linear (paper)", "32", "20", "address counters"});
   res.add_row({"CAM",
-               std::to_string(sw::cam_comparator_bits(1024, 32)),
-               std::to_string(sw::cam_comparator_bits(1024, 20)),
+               std::to_string(bench::cam_comparator_bits(1024, 32)),
+               std::to_string(bench::cam_comparator_bits(1024, 20)),
                "priority encoder"});
   res.add_row({"hash", "32", "20", "hash unit + collision probes"});
   res.print();
@@ -66,17 +66,17 @@ int main() {
   // for any occupancy above ~1, but costs three orders of magnitude
   // more comparator area.
   checks.expect_true("CAM beats linear for k >= 1",
-                     sw::kCamSearchCycles <= hw::search_cycles(1));
+                     bench::kCamSearchCycles <= hw::search_cycles(1));
   checks.expect_true(
       "linear beats CAM on area by >100x",
-      sw::cam_comparator_bits(1024, 20) > 100 * 20);
+      bench::cam_comparator_bits(1024, 20) > 100 * 20);
   checks.expect_true("hash latency is occupancy-independent and close to CAM",
                      kHashSearchCycles <= hw::search_cycles(2));
 
   // Behavioural equivalence of the CAM engine (same semantics, different
   // cost model): one swap through each engine agrees.
   {
-    sw::CamEngine cam;
+    bench::CamEngine cam;
     sw::LinearEngine lin;
     for (auto* e : {static_cast<sw::LabelEngine*>(&cam),
                     static_cast<sw::LabelEngine*>(&lin)}) {

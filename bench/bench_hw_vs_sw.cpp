@@ -14,9 +14,9 @@
 // stack keeps its shape.
 #include <benchmark/benchmark.h>
 
+#include "baseline_engines.hpp"
 #include "hw/cycle_model.hpp"
 #include "rtl/clock_model.hpp"
-#include "sw/hash_engine.hpp"
 #include "sw/hw_engine.hpp"
 #include "sw/linear_engine.hpp"
 
@@ -79,7 +79,7 @@ void BM_SwLinearUpdate(benchmark::State& state) {
   update_loop<sw::LinearEngine>(state);
 }
 void BM_SwHashUpdate(benchmark::State& state) {
-  update_loop<sw::HashEngine>(state);
+  update_loop<bench::HashEngine>(state);
 }
 void BM_HwRtlSimulation(benchmark::State& state) {
   update_loop<sw::HwEngine>(state);

@@ -15,12 +15,12 @@
 #include <memory>
 #include <string>
 
+#include "baseline_engines.hpp"
 #include "bench_util.hpp"
 #include "core/embedded_router.hpp"
 #include "hw/cycle_model.hpp"
 #include "net/network.hpp"
 #include "rtl/clock_model.hpp"
-#include "sw/cam_engine.hpp"
 #include "sw/linear_engine.hpp"
 
 using namespace empls;
@@ -40,12 +40,9 @@ Measurement measure(bool cam, rtl::u32 occupancy, rtl::u32 hit_depth,
   net::Network net;
   core::RouterConfig cfg;
   cfg.type = hw::RouterType::kLsr;
-  std::unique_ptr<sw::LabelEngine> engine;
-  if (cam) {
-    engine = std::make_unique<sw::CamEngine>();
-  } else {
-    engine = std::make_unique<sw::LinearEngine>();
-  }
+  std::unique_ptr<sw::LinearEngine> engine =
+      cam ? std::make_unique<bench::CamEngine>()
+          : std::make_unique<sw::LinearEngine>();
   auto router = std::make_unique<core::EmbeddedRouter>(
       "LSR", std::move(engine), cfg);
   auto* raw = router.get();

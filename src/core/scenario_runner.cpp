@@ -17,8 +17,6 @@
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 
-#include "sw/cam_engine.hpp"
-#include "sw/hash_engine.hpp"
 #include "sw/hw_engine.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/trie_engine.hpp"
@@ -31,10 +29,6 @@ std::unique_ptr<sw::LabelEngine> make_engine(net::EngineKind kind) {
   switch (kind) {
     case net::EngineKind::kLinear:
       break;
-    case net::EngineKind::kHash:
-      return std::make_unique<sw::HashEngine>();
-    case net::EngineKind::kCam:
-      return std::make_unique<sw::CamEngine>();
     case net::EngineKind::kTrie:
       return std::make_unique<sw::TrieEngine>();
     case net::EngineKind::kHw:

@@ -85,12 +85,13 @@ struct ScenarioError {
   std::string message;
 };
 
-/// The label engines a router may name (`engine=<kind>`).  The parser
-/// accepts exactly the names in kEngineKindNames, and the runner's
-/// engine factory switches over this enum, so the two cannot drift.
-enum class EngineKind : std::uint8_t { kLinear, kHash, kCam, kTrie, kHw };
-inline constexpr std::array<std::string_view, 5> kEngineKindNames{
-    "linear", "hash", "cam", "trie", "hw"};
+/// The label engines a router may name (`engine=<kind>`): the golden
+/// linear model, the trie FIB and the RTL adapter.  The parser accepts
+/// exactly the names in kEngineKindNames, and the runner's engine
+/// factory switches over this enum, so the two cannot drift.
+enum class EngineKind : std::uint8_t { kLinear, kTrie, kHw };
+inline constexpr std::array<std::string_view, 3> kEngineKindNames{
+    "linear", "trie", "hw"};
 
 [[nodiscard]] constexpr std::optional<EngineKind> parse_engine_kind(
     std::string_view name) noexcept {

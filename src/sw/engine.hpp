@@ -1,5 +1,5 @@
-// Common interface over every label-processing engine: the cycle-accurate
-// hardware model and the software baselines.
+// Common interface over every label-processing engine: the golden linear
+// model, the RTL adapters and the production FIB.
 //
 // The paper argues core MPLS tasks belong in hardware while "most
 // existing MPLS solutions are entirely software based".  This interface
@@ -13,9 +13,10 @@
 //   * TrieEngine     — the production FIB: patricia trie + label tables,
 //                      bit-identical to linear up to 1024 pairs/level and
 //                      scaling to millions of entries
-//   * HashEngine     — modern hash-map software router (bench baseline)
-//   * CamEngine      — ablation: hardware with a content-addressable
-//                      information base (parallel compare, constant-time)
+//
+// A scenario picks `engine=linear|trie|hw`.  The hash-map and CAM
+// baselines the benches compare against are bench code
+// (bench/baseline_engines.hpp), not simulator engines.
 //
 // Every engine is a single datapath: one packet per update() call.
 //
@@ -131,7 +132,7 @@ class LabelEngine {
 
   /// Whether the embedded router may serve this engine's decisions from
   /// its flow cache.  True for the software engines whose modelled cost
-  /// decomposes into search + tail (linear, hash, cam, trie).  False
+  /// decomposes into search + tail (linear, trie).  False
   /// for the RTL-backed engines: the cycle-accurate model must see
   /// every packet.
   [[nodiscard]] virtual bool cacheable() const noexcept { return false; }

@@ -17,8 +17,6 @@
 #include "net/protection.hpp"
 #include "net/stats.hpp"
 #include "net/traffic.hpp"
-#include "sw/cam_engine.hpp"
-#include "sw/hash_engine.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/trie_engine.hpp"
 
@@ -39,11 +37,7 @@ struct Rig {
     core::RouterConfig cfg;
     cfg.type = type;
     std::unique_ptr<sw::LabelEngine> engine;
-    if (kind == "hash") {
-      engine = std::make_unique<sw::HashEngine>();
-    } else if (kind == "cam") {
-      engine = std::make_unique<sw::CamEngine>();
-    } else if (kind == "trie") {
+    if (kind == "trie") {
       engine = std::make_unique<sw::TrieEngine>();
     } else {
       engine = std::make_unique<sw::LinearEngine>();
@@ -157,13 +151,12 @@ TEST_P(FaultCampaign, SixtyFaultCampaignConservesEveryFlow) {
   }
 }
 
-// Corruption faults must bite on EVERY software engine: corrupt_entry
-// has engine-specific implementations (scan for linear, map mutation
-// for hash, inner-delegate for cam, table/trie poke for trie), and a
-// silent no-op would make the resilience results for that engine
-// vacuously clean.  Each engine must (a) actually garble the binding,
-// (b) misroute or drop because of it, and (c) be healed by the resync
-// audit, after which the flow recovers.
+// Corruption faults must bite on every software engine a scenario can
+// pick: corrupt_entry has engine-specific implementations (scan for
+// linear, table/trie poke for trie), and a silent no-op would make the
+// resilience results for that engine vacuously clean.  Each engine must
+// (a) actually garble the binding, (b) misroute or drop because of it,
+// and (c) be healed by the resync audit, after which the flow recovers.
 class CorruptionByEngine : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CorruptionByEngine, CorruptionBitesAndResyncHeals) {
@@ -206,7 +199,7 @@ TEST_P(CorruptionByEngine, CorruptionBitesAndResyncHeals) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, CorruptionByEngine,
-                         ::testing::Values("linear", "hash", "cam", "trie"),
+                         ::testing::Values("linear", "trie"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });

@@ -113,10 +113,11 @@ TEST(ScenarioParse, EngineKindsAcceptedAndRejected) {
   EXPECT_EQ(parse_ok("router A ler\n").routers[0].engine,
             EngineKind::kLinear);
 
-  // Unknown kinds — including the retired simd and sharded engines —
-  // and the retired batch= option are line-numbered diagnostics.
-  for (const char* engine :
-       {"patricia", "simd", "sharded:4", "sharded:4:trie", "sharded:8"}) {
+  // Unknown kinds — including the retired simd and sharded engines and
+  // the hash and cam baselines, which live in bench code — and the
+  // retired batch= option are line-numbered diagnostics.
+  for (const char* engine : {"patricia", "simd", "sharded:4",
+                             "sharded:4:trie", "sharded:8", "hash", "cam"}) {
     const auto err = parse_err(
         std::string("router A ler\nrouter B lsr engine=") + engine + "\n");
     EXPECT_EQ(err.line, 2) << engine;

@@ -5,8 +5,8 @@
 // mid-stream (write_pair, corrupt_entry, clear + reprogram) between
 // packet bursts.  The trie engine mirrors the hardware's linear-search
 // cost model on paper-sized bases, so it must also charge bit-identical
-// Table 6 cycles; hash and CAM intentionally cost differently, so only
-// their semantics are compared.
+// Table 6 cycles; the hash and CAM bench baselines intentionally cost
+// differently, so only their semantics are compared.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,8 +15,7 @@
 #include <tuple>
 #include <vector>
 
-#include "sw/cam_engine.hpp"
-#include "sw/hash_engine.hpp"
+#include "baseline_engines.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/semantics.hpp"
 #include "sw/trie_engine.hpp"
@@ -30,10 +29,10 @@ using mpls::LabelPair;
 
 std::unique_ptr<sw::LabelEngine> make_engine(const std::string& kind) {
   if (kind == "hash") {
-    return std::make_unique<sw::HashEngine>();
+    return std::make_unique<bench::HashEngine>();
   }
   if (kind == "cam") {
-    return std::make_unique<sw::CamEngine>();
+    return std::make_unique<bench::CamEngine>();
   }
   if (kind == "trie") {
     return std::make_unique<sw::TrieEngine>();

@@ -105,7 +105,8 @@ TEST_P(ScenarioFuzz, DirectiveSoupNeverCrashes) {
   // likelier than byte noise to reach deep parser paths (option maps,
   // engine kinds, fault parameters) with wrong arity, wrong types and
   // out-of-range values.  Retired spellings (engine=simd, sharded:<N>,
-  // batch=K) stay in the soup: they must end in a diagnostic.
+  // the bench-only hash and cam baselines, batch=K) stay in the soup:
+  // they must end in a diagnostic.
   const std::vector<std::string> verbs = {
       "qos",     "router", "link",    "lsp",      "lsp-cspf", "tunnel",
       "flow",    "fail",   "restore", "flap",     "crash",    "corrupt",
@@ -118,7 +119,8 @@ TEST_P(ScenarioFuzz, DirectiveSoupNeverCrashes) {
       "A",        "B",          "C",       "ler",        "lsr",
       "strict",   "cbr",        "10M",     "1ms",        "0.2",
       "7",        "10.1.0.0/16", "10.1.0.5", "engine=hw", "engine=trie",
-      "engine=simd", "engine=sharded:4", "engine=",  "cache=64",
+      "engine=simd", "engine=sharded:4", "engine=hash", "engine=cam",
+      "engine=",  "cache=64",
       "cache=0",  "cache=off",  "batch=8", "cos=5",      "bw=1M",
       "for=50ms", "salt=9",     "resync=20ms", "down-for", "seed=1",
       "=",        "sharded:",   "1e99",    "-3",

@@ -1,13 +1,13 @@
 // Engine tests: every LabelEngine implementation agrees on behaviour
-// (parameterized over engines), plus engine-specific semantics — linear
-// scan order, hash first-binding-wins, CAM cost model, capacity limits.
+// (parameterized over engines, the hash and CAM bench baselines
+// included), plus engine-specific semantics — linear scan order, hash
+// first-binding-wins, CAM cost model, capacity limits.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "baseline_engines.hpp"
 #include "hw/cycle_model.hpp"
-#include "sw/cam_engine.hpp"
-#include "sw/hash_engine.hpp"
 #include "sw/hw_engine.hpp"
 #include "sw/linear_engine.hpp"
 #include "sw/trie_engine.hpp"
@@ -15,6 +15,9 @@
 namespace empls::sw {
 namespace {
 
+using bench::CamEngine;
+using bench::HashEngine;
+using bench::kCamSearchCycles;
 using mpls::LabelEntry;
 using mpls::LabelOp;
 using mpls::LabelPair;
